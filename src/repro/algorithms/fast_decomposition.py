@@ -35,6 +35,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..lcl.dfree import A_INPUT, CONNECT, COPY, DECLINE, W_INPUT
 from ..local import vec
 from ..local.graph import Graph
@@ -183,18 +185,9 @@ def _oriented_decomposition(
     parent -> v per Observation 46); compress-chunk nodes get no parent,
     which caps oriented-chain depth by the iteration count.
 
-    Dispatches to the flat-array peeling at sweep sizes; the per-node
-    twin below is the differential oracle and no-numpy fallback.
+    The peeling runs as flat numpy sweeps, with the batch-removal
+    equivalences of :func:`~repro.algorithms.rake_compress.rake_compress`.
     """
-    if vec.use_vector_path(graph.n):
-        return _oriented_decomposition_np(graph, members)
-    return _oriented_decomposition_py(graph, members)
-
-
-def _oriented_decomposition_np(
-    graph: Graph, members: Set[int]
-) -> Tuple[Dict[int, Optional[int]], Dict[int, int], int]:
-    np = vec.np
     n = graph.n
     indptr, indices = vec.csr_arrays(graph)
     member = np.zeros(n, dtype=bool)
@@ -259,87 +252,6 @@ def _oriented_decomposition_np(
         parent[v] = None if p == -1 else p
         iter_of[v] = iters[v]
     return parent, iter_of, i
-
-
-def _oriented_decomposition_py(
-    graph: Graph, members: Set[int]
-) -> Tuple[Dict[int, Optional[int]], Dict[int, int], int]:
-    alive = set(members)
-    deg = {
-        v: sum(1 for w in graph.neighbors(v) if w in members) for v in members
-    }
-    parent: Dict[int, Optional[int]] = {}
-    iter_of: Dict[int, int] = {}
-    i = 0
-    while alive:
-        i += 1
-        if i > graph.n + 2:
-            raise RuntimeError("oriented decomposition exceeded budget")
-        # rake
-        low = [v for v in sorted(alive) if deg[v] <= 1]
-        chosen = set(low)
-        for v in low:
-            if v not in chosen:
-                continue
-            for w in graph.neighbors(v):
-                if w in chosen and w > v:
-                    chosen.discard(w)
-        for v in sorted(chosen):
-            alive_nbrs = [w for w in graph.neighbors(v) if w in alive and w != v]
-            alive_nbrs = [w for w in alive_nbrs if w not in chosen]
-            parent[v] = alive_nbrs[0] if alive_nbrs else None
-            iter_of[v] = i
-            alive.discard(v)
-            for w in graph.neighbors(v):
-                if w in alive:
-                    deg[w] -= 1
-        if not alive:
-            break
-        # compress: runs of >= 3 degree-2 nodes; interiors unoriented
-        runs = _runs_of_degree2(graph, alive, deg)
-        for run in runs:
-            if len(run) < 3:
-                continue
-            for v in run:
-                parent[v] = None
-                iter_of[v] = i
-                alive.discard(v)
-            for v in run:
-                for w in graph.neighbors(v):
-                    if w in alive:
-                        deg[w] -= 1
-    return parent, iter_of, i
-
-
-def _runs_of_degree2(graph: Graph, alive: Set[int], deg: Dict[int, int]) -> List[List[int]]:
-    member = {v for v in alive if deg[v] == 2}
-    runs: List[List[int]] = []
-    seen: Set[int] = set()
-    for start in sorted(member):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if w in member and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        ends = [u for u in sorted(comp)
-                if sum(1 for w in graph.neighbors(u) if w in comp) <= 1]
-        order = [min(ends)] if ends else [min(comp)]
-        prev = None
-        while True:
-            nxt = [w for w in graph.neighbors(order[-1])
-                   if w in comp and w != prev]
-            if not nxt:
-                break
-            prev = order[-1]
-            order.append(nxt[0])
-        runs.append(order)
-    return runs
 
 
 def _unassigned_span(

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..lcl.hierarchical import B, D, E, W, COLORS_3
 from ..lcl.levels import compute_levels
 from ..local import vec
@@ -163,7 +165,7 @@ def run_generic_fast_forward(
                 )
     _propagate_exempt(
         graph, levels, alive, rounds, outputs, k,
-        start_time=s_k + 1 + time_offset, allow_level_k_plus=True,
+        start_time=s_k + 1 + time_offset,
     )
     meta["remaining_after_phase"][k] = sum(alive)
 
@@ -193,63 +195,14 @@ def _commit(v, label, t, rounds, outputs, alive) -> None:
 def _alive_level_paths(
     graph: Graph, levels: Sequence[int], alive: Sequence[bool], i: int
 ) -> List[List[int]]:
-    """Maximal paths of alive level-``i`` nodes, in path order.
-
-    At sweep sizes the member mask goes through
-    :func:`repro.local.vec.member_paths` (same component order, same
-    path orientation); the per-node tracer below is the differential
-    twin and the no-numpy fallback.
-    """
-    if vec.use_vector_path(graph.n):
-        np = vec.np
-        member = np.array(alive, dtype=bool) & (
-            np.array(levels, dtype=np.int64) == i
-        )
-        try:
-            return vec.member_paths(graph, member)
-        except ValueError:
-            raise AssertionError(f"level-{i} alive component is not a path")
-    return _alive_level_paths_py(graph, levels, alive, i)
-
-
-def _alive_level_paths_py(
-    graph: Graph, levels: Sequence[int], alive: Sequence[bool], i: int
-) -> List[List[int]]:
-    members = {v for v in graph.nodes() if alive[v] and levels[v] == i}
-    paths: List[List[int]] = []
-    seen: set = set()
-    indptr, indices = graph.adjacency()
-
-    def same(v: int) -> List[int]:
-        return [w for w in indices[indptr[v]:indptr[v + 1]] if w in members]
-
-    for v in sorted(members):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in same(u):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        degs = {u: sum(1 for w in same(u) if w in comp) for u in comp}
-        assert all(d <= 2 for d in degs.values()), (
-            f"level-{i} alive component is not a path"
-        )
-        ends = [u for u in sorted(comp) if degs[u] <= 1]
-        order = [min(ends)]
-        prev = None
-        while True:
-            nxt = [w for w in same(order[-1]) if w != prev and w in comp]
-            if not nxt:
-                break
-            prev = order[-1]
-            order.append(nxt[0])
-        seen.update(comp)
-        paths.append(order)
-    return paths
+    """Maximal paths of alive level-``i`` nodes, in path order (the
+    component and orientation order of
+    :func:`repro.local.vec.member_paths`)."""
+    member = np.array(alive, dtype=bool) & (np.array(levels, dtype=np.int64) == i)
+    try:
+        return vec.member_paths(graph, member)
+    except ValueError:
+        raise AssertionError(f"level-{i} alive component is not a path")
 
 
 def _canonical_2coloring(path: Sequence[int], ids: Sequence[int]) -> List[str]:
@@ -269,66 +222,14 @@ def _propagate_exempt(
     outputs: List,
     k: int,
     start_time: int,
-    allow_level_k_plus: bool = False,
 ) -> None:
     """Iterated E-assignment: an alive node of level ``2..k`` with a
     lower-level neighbour labeled ``W/B/E`` outputs ``E``; one step per
-    round, at most ``k`` steps (levels strictly increase along chains)."""
-    if vec.use_vector_path(graph.n):
-        _propagate_exempt_np(
-            graph, levels, alive, rounds, outputs, k, start_time
-        )
-        return
-    _propagate_exempt_py(graph, levels, alive, rounds, outputs, k, start_time)
+    round, at most ``k`` steps (levels strictly increase along chains).
 
-
-def _propagate_exempt_np(
-    graph: Graph,
-    levels: Sequence[int],
-    alive: List[bool],
-    rounds: List[int],
-    outputs: List,
-    k: int,
-    start_time: int,
-) -> None:
-    """Vectorized stepping: each round gathers the eligible nodes' incident
-    edges once instead of scanning every node's neighbourhood in Python.
-    Commits still go through ``_commit`` so the caller's list state stays
-    the source of truth."""
-    np = vec.np
-    n = graph.n
-    indptr, indices = vec.csr_arrays(graph)
-    lv = np.array(levels, dtype=np.int64)
-    elig = np.array(alive, dtype=bool) & (lv >= 2) & (lv <= k)
-    trig = np.zeros(n, dtype=bool)
-    trig[[v for v in range(n) if outputs[v] in (W, B, E)]] = True
-    step = 0
-    while True:
-        candidates = np.nonzero(elig)[0]
-        if candidates.size == 0:
-            break
-        src, nbr = vec.expand_segments(indptr, indices, candidates)
-        hit = trig[nbr] & (lv[nbr] > 0) & (lv[nbr] < lv[src])
-        newly = np.unique(src[hit])
-        if newly.size == 0:
-            break
-        for v in newly.tolist():
-            _commit(v, E, start_time + step, rounds, outputs, alive)
-        elig[newly] = False
-        trig[newly] = True
-        step += 1
-        assert step <= k + 1, "E-propagation exceeded its window"
-
-
-def _propagate_exempt_py(
-    graph: Graph,
-    levels: Sequence[int],
-    alive: List[bool],
-    rounds: List[int],
-    outputs: List,
-    k: int,
-    start_time: int,
-) -> None:
+    A plain per-node loop on purpose: a numpy sweep must first convert
+    ``levels``, ``alive`` and ``outputs`` to arrays, which already costs
+    more than this scan, so the loop wins at every size measured."""
     indptr, indices = graph.adjacency()
     step = 0
     while True:

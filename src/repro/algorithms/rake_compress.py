@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..local import vec
 from ..local.algorithm import CONTINUE, LocalAlgorithm, View
 from ..local.graph import Graph
@@ -103,7 +105,6 @@ def rake_compress(
     graph: Graph,
     gamma: int,
     ell: int,
-    max_iterations: Optional[int] = None,
     pinned: Sequence[int] = (),
 ) -> Decomposition:
     """Compute a (gamma, ell, L)-decomposition of a forest.
@@ -113,40 +114,22 @@ def rake_compress(
     used to root a decomposition at a designated node (e.g. the
     active-adjacent weight node of Definition 67 instances).
 
-    At sweep sizes the rake/compress passes run as flat numpy sweeps
-    (:func:`_rake_compress_np`); :func:`_rake_compress_py` is the
-    per-node twin the differential tests pin it against.
+    The passes run as flat numpy sweeps.  A rake sublayer's removable
+    low-degree nodes pair up into a matching (two adjacent degree-<=1
+    nodes form a 2-node component), so dropping the larger endpoint of
+    every low–low edge is the sequential smaller-handle rule; removed
+    batches are independent sets (rake) or mutually non-adjacent runs
+    (compress), so marking the batch dead and then scatter-decrementing
+    surviving neighbours leaves every *read* degree identical to a
+    node-by-node removal.  At most ``n + 2`` iterations run before the
+    decomposition is declared stuck.
     """
     if gamma < 1 or ell < 1:
         raise ValueError("gamma and ell must be >= 1")
     if not graph.is_forest():
         raise ValueError("rake-and-compress requires a forest")
-    if vec.use_vector_path(graph.n):
-        return _rake_compress_np(graph, gamma, ell, max_iterations, pinned)
-    return _rake_compress_py(graph, gamma, ell, max_iterations, pinned)
 
-
-def _rake_compress_np(
-    graph: Graph,
-    gamma: int,
-    ell: int,
-    max_iterations: Optional[int],
-    pinned: Sequence[int],
-) -> Decomposition:
-    """Vectorized rake-and-compress.
-
-    Per-pass equivalences with the per-node twin: a rake sublayer's
-    removable low-degree nodes pair up into a matching (two adjacent
-    degree-<=1 nodes form a 2-node component), so dropping the larger
-    endpoint of every low–low edge reproduces the sequential
-    smaller-handle rule; removed batches are independent sets (rake) or
-    mutually non-adjacent runs (compress), so marking the batch dead and
-    then scatter-decrementing surviving neighbours leaves every *read*
-    degree identical to the sequential removal order.
-    """
-    np = vec.np
     n = graph.n
-    budget = max_iterations if max_iterations is not None else n + 2
     indptr, indices = vec.csr_arrays(graph)
 
     pinned_mask = np.zeros(n, dtype=bool)
@@ -173,7 +156,7 @@ def _rake_compress_np(
     i = 0
     while remaining > 0:
         i += 1
-        if i > budget:
+        if i > n + 2:
             raise RuntimeError("rake-and-compress exceeded its iteration budget")
         # ---- gamma rake sublayers --------------------------------------
         for j in range(1, gamma + 1):
@@ -224,140 +207,6 @@ def _rake_compress_np(
         compress_paths=compress_paths,
         num_iterations=i,
     )
-
-
-def _rake_compress_py(
-    graph: Graph,
-    gamma: int,
-    ell: int,
-    max_iterations: Optional[int],
-    pinned: Sequence[int],
-) -> Decomposition:
-    n = graph.n
-    budget = max_iterations if max_iterations is not None else n + 2
-
-    pinned_set = set(pinned)
-    alive = [True] * n
-    deg = [
-        graph.degree(v) + (1 if v in pinned_set else 0) for v in graph.nodes()
-    ]
-    layer_of: List[Optional[Layer]] = [None] * n
-    compress_paths: Dict[int, List[List[int]]] = {}
-    remaining = n
-
-    def remove(v: int, layer: Layer) -> None:
-        nonlocal remaining
-        alive[v] = False
-        layer_of[v] = layer
-        remaining -= 1
-        for w in graph.neighbors(v):
-            if alive[w]:
-                deg[w] -= 1
-
-    i = 0
-    while remaining > 0:
-        i += 1
-        if i > budget:
-            raise RuntimeError("rake-and-compress exceeded its iteration budget")
-        # ---- gamma rake sublayers --------------------------------------
-        for j in range(1, gamma + 1):
-            low = [v for v in range(n) if alive[v] and deg[v] <= 1]
-            # keep sublayers independent: drop the larger-handle endpoint
-            # of any edge between two removable nodes
-            chosen = set(low)
-            for v in low:
-                if v not in chosen:
-                    continue
-                for w in graph.neighbors(v):
-                    if w in chosen and w > v:
-                        chosen.discard(w)
-            for v in sorted(chosen):
-                remove(v, Layer.rake(i, j))
-            if remaining == 0:
-                break
-        if remaining == 0:
-            break
-        # ---- compress ---------------------------------------------------
-        runs = _degree2_runs(graph, alive, deg, exclude=pinned_set)
-        paths_here: List[List[int]] = []
-        promoted: List[int] = []
-        for run in runs:
-            if len(run) < ell:
-                continue
-            chunks, seps = _split_run(run, ell)
-            paths_here.extend(chunks)
-            promoted.extend(seps)
-        for path in paths_here:
-            for v in path:
-                remove(v, Layer.compress(i))
-        for v in promoted:
-            remove(v, Layer.rake(i + 1, 1))
-        if paths_here:
-            compress_paths[i] = paths_here
-        if not paths_here and not promoted and not _any_low_degree(alive, deg, n):
-            raise RuntimeError(
-                "decomposition stalled (neither rake nor compress applies)"
-            )
-
-    return Decomposition(
-        graph=graph,
-        gamma=gamma,
-        ell=ell,
-        layer_of=[layer for layer in layer_of],  # type: ignore[misc]
-        compress_paths=compress_paths,
-        num_iterations=i,
-    )
-
-
-def _any_low_degree(alive: Sequence[bool], deg: Sequence[int], n: int) -> bool:
-    return any(alive[v] and deg[v] <= 1 for v in range(n))
-
-
-def _degree2_runs(
-    graph: Graph,
-    alive: Sequence[bool],
-    deg: Sequence[int],
-    exclude: Optional[set] = None,
-) -> List[List[int]]:
-    """Maximal paths of alive degree-2 nodes, in path order."""
-    exclude = exclude or set()
-    member = {
-        v
-        for v in graph.nodes()
-        if alive[v] and deg[v] == 2 and v not in exclude
-    }
-    runs: List[List[int]] = []
-    seen: set = set()
-
-    def nbrs(v: int) -> List[int]:
-        return [w for w in graph.neighbors(v) if w in member]
-
-    for start in sorted(member):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in nbrs(u):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        ends = [u for u in sorted(comp)
-                if len([w for w in nbrs(u) if w in comp]) <= 1]
-        if not ends:  # a full cycle cannot happen in a forest
-            raise AssertionError("degree-2 run formed a cycle in a forest")
-        order = [min(ends)]
-        prev = None
-        while True:
-            nxt = [w for w in nbrs(order[-1]) if w != prev and w in comp]
-            if not nxt:
-                break
-            prev = order[-1]
-            order.append(nxt[0])
-        seen.update(comp)
-        runs.append(order)
-    return runs
 
 
 def _split_run(run: List[int], ell: int) -> Tuple[List[List[int]], List[int]]:

@@ -68,7 +68,6 @@ from .canonical import (
     enumerate_multisets,
     get_context,
     iter_space,
-    legacy_canonical_encoding,
 )
 from .decider import decide_node_averaged_class
 from .problems import (
@@ -85,7 +84,6 @@ __all__ = [
     "enumerate_multisets",
     "enumerate_space",
     "canonical_encoding",
-    "legacy_canonical_encoding",
     "spec_to_problem",
     "spec_from_problem",
     "decide_encoding",

@@ -41,12 +41,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-try:  # Protocol is typing-only; keep a runtime fallback for exotic setups
-    from typing import Protocol
-except ImportError:  # pragma: no cover - python < 3.8
-    Protocol = object  # type: ignore[assignment]
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..local.graph import Graph
 from .problem import LCLResult, Violation

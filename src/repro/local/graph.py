@@ -30,10 +30,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-try:  # numpy accelerates construction; every path has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is part of the baked image
-    _np = None
+import numpy as np
 
 __all__ = [
     "Graph",
@@ -69,22 +66,22 @@ def _validate_edge_arrays(n: int, eu, ev) -> None:
     first: List[Tuple[int, int, ValueError]] = []
     bad = (eu < 0) | (eu >= n) | (ev < 0) | (ev >= n)
     if bad.any():
-        k = int(_np.argmax(bad))
+        k = int(np.argmax(bad))
         first.append((k, 0, ValueError(
             f"edge ({int(eu[k])},{int(ev[k])}) out of range for n={n}")))
     loops = eu == ev
     if loops.any():
-        k = int(_np.argmax(loops))
+        k = int(np.argmax(loops))
         first.append((k, 1, ValueError(f"self-loop at {int(eu[k])}")))
-    lo = _np.minimum(eu, ev)
-    hi = _np.maximum(eu, ev)
+    lo = np.minimum(eu, ev)
+    hi = np.maximum(eu, ev)
     # for in-range endpoints the packed key is collision-free; any packed
     # collision involving out-of-range garbage is masked by the range
     # error, whose edge index is necessarily no later
-    key = lo * _np.int64(max(n, 1) + 1) + hi
-    order = _np.argsort(key, kind="stable")
+    key = lo * np.int64(max(n, 1) + 1) + hi
+    order = np.argsort(key, kind="stable")
     sorted_key = key[order]
-    dup_pos = _np.nonzero(sorted_key[1:] == sorted_key[:-1])[0]
+    dup_pos = np.nonzero(sorted_key[1:] == sorted_key[:-1])[0]
     if dup_pos.size:
         k = int(order[dup_pos + 1].min())
         first.append((k, 2, ValueError(
@@ -99,15 +96,15 @@ def _csr_from_edge_arrays(n: int, eu, ev) -> Tuple["array", "array"]:
     order (each edge ``k`` contributes ``u->v`` before ``v->u``, exactly
     like the sequential cursor fill)."""
     m = int(eu.shape[0])
-    src = _np.empty(2 * m, dtype=_np.int64)
-    dst = _np.empty(2 * m, dtype=_np.int64)
+    src = np.empty(2 * m, dtype=np.int64)
+    dst = np.empty(2 * m, dtype=np.int64)
     src[0::2] = eu
     src[1::2] = ev
     dst[0::2] = ev
     dst[1::2] = eu
-    order = _np.argsort(src, kind="stable")
-    indptr_np = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(src, minlength=n), out=indptr_np[1:])
+    order = np.argsort(src, kind="stable")
+    indptr_np = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr_np[1:])
     indptr = array(_CSR_TYPECODE)
     indptr.frombytes(indptr_np.tobytes())
     indices = array(_CSR_TYPECODE)
@@ -141,8 +138,8 @@ class Graph:
             raise ValueError("n must be non-negative")
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
-        if _np is not None and len(edges) >= _VECTOR_MIN_EDGES:
-            pairs = _np.asarray(edges, dtype=_np.int64)
+        if len(edges) >= _VECTOR_MIN_EDGES:
+            pairs = np.asarray(edges, dtype=np.int64)
             self._init_from_arrays(n, pairs[:, 0], pairs[:, 1], inputs)
             return
         edge_list: List[Tuple[int, int]] = []
@@ -213,10 +210,8 @@ class Graph:
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        if _np is None:  # pragma: no cover - numpy is part of the image
-            return cls(n, list(zip(edge_u, edge_v)), inputs)
-        eu = _np.ascontiguousarray(edge_u, dtype=_np.int64).ravel()
-        ev = _np.ascontiguousarray(edge_v, dtype=_np.int64).ravel()
+        eu = np.ascontiguousarray(edge_u, dtype=np.int64).ravel()
+        ev = np.ascontiguousarray(edge_v, dtype=np.int64).ravel()
         if eu.shape[0] != ev.shape[0]:
             raise ValueError("edge endpoint arrays must have equal length")
         if validate:
@@ -479,18 +474,18 @@ class Graph:
 # ----------------------------------------------------------------------
 def path_graph(n: int, inputs: Optional[Sequence] = None) -> Graph:
     """A path on ``n`` nodes: 0 - 1 - ... - (n-1)."""
-    if _np is not None and n >= 2:
-        heads = _np.arange(n - 1, dtype=_np.int64)
+    if n >= 2:
+        heads = np.arange(n - 1, dtype=np.int64)
         return Graph.from_arrays(n, heads, heads + 1, inputs, validate=False)
     return Graph(n, [(i, i + 1) for i in range(n - 1)], inputs)
 
 
 def star_graph(leaves: int) -> Graph:
     """A star: node 0 is the centre, nodes 1..leaves are leaves."""
-    if _np is not None and leaves >= 1:
-        spokes = _np.arange(1, leaves + 1, dtype=_np.int64)
+    if leaves >= 1:
+        spokes = np.arange(1, leaves + 1, dtype=np.int64)
         return Graph.from_arrays(
-            leaves + 1, _np.zeros(leaves, dtype=_np.int64), spokes,
+            leaves + 1, np.zeros(leaves, dtype=np.int64), spokes,
             validate=False,
         )
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
@@ -500,40 +495,23 @@ def cycle_graph(n: int, inputs: Optional[Sequence] = None) -> Graph:
     """A cycle on ``n >= 3`` nodes: 0 - 1 - ... - (n-1) - 0."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 nodes")
-    if _np is not None:
-        heads = _np.arange(n, dtype=_np.int64)
-        return Graph.from_arrays(n, heads, (heads + 1) % n, inputs,
-                                 validate=False)
-    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-    return Graph(n, edges, inputs)
+    heads = np.arange(n, dtype=np.int64)
+    return Graph.from_arrays(n, heads, (heads + 1) % n, inputs, validate=False)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """A ``rows x cols`` grid; node ``(r, c)`` has handle ``r * cols + c``."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    if _np is not None:
-        v_all = _np.arange(rows * cols, dtype=_np.int64)
-        right = v_all[v_all % cols != cols - 1]
-        down = v_all[v_all < (rows - 1) * cols]
-        # the loop build emits, per node in row-major order, its right
-        # edge then its down edge — replay that order via a stable sort
-        # on (node, kind) so neighbour order stays byte-identical
-        order = _np.argsort(
-            _np.concatenate((2 * right, 2 * down + 1)), kind="stable"
-        )
-        us = _np.concatenate((right, down))[order]
-        vs = _np.concatenate((right + 1, down + cols))[order]
-        return Graph.from_arrays(rows * cols, us, vs, validate=False)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph(rows * cols, edges)
+    v_all = np.arange(rows * cols, dtype=np.int64)
+    right = v_all[v_all % cols != cols - 1]
+    down = v_all[v_all < (rows - 1) * cols]
+    # per node in row-major order, its right edge then its down edge —
+    # a stable sort on (node, kind) fixes that neighbour order
+    order = np.argsort(np.concatenate((2 * right, 2 * down + 1)), kind="stable")
+    us = np.concatenate((right, down))[order]
+    vs = np.concatenate((right + 1, down + cols))[order]
+    return Graph.from_arrays(rows * cols, us, vs, validate=False)
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -560,25 +538,14 @@ def balanced_tree(fanout: int, height: int) -> Graph:
     if fanout < 1:
         raise ValueError("fanout must be >= 1")
     total = sum(fanout ** d for d in range(height + 1))
-    if _np is not None and total >= 2:
-        # handles are assigned in BFS order, so node k >= 1 hangs off
-        # parent (k - 1) // fanout and the loop emits edges in child order
-        children = _np.arange(1, total, dtype=_np.int64)
-        return Graph.from_arrays(
-            total, (children - 1) // fanout, children, validate=False
-        )
-    edges = []
-    frontier = [0]
-    next_handle = 1
-    for _ in range(height):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(fanout):
-                edges.append((parent, next_handle))
-                new_frontier.append(next_handle)
-                next_handle += 1
-        frontier = new_frontier
-    return Graph(next_handle, edges)
+    if total < 2:
+        return Graph(1, [])
+    # handles are assigned in BFS order, so node k >= 1 hangs off parent
+    # (k - 1) // fanout, with edges in child order
+    children = np.arange(1, total, dtype=np.int64)
+    return Graph.from_arrays(
+        total, (children - 1) // fanout, children, validate=False
+    )
 
 
 def from_networkx(nx_graph) -> Graph:

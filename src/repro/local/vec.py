@@ -1,4 +1,4 @@
-"""Shared numpy sweeps over CSR graphs for the array-form solver ports.
+"""Shared numpy sweeps over CSR graphs for the centralized solvers.
 
 The centralized solvers (levels, generic phases, rake-and-compress, the
 oriented fast decomposition) all iterate the same three primitives:
@@ -6,45 +6,25 @@ count neighbours inside a node subset, expand a node subset to its
 incident directed edges, and trace the maximal paths induced by a subset
 whose induced degree is at most 2.  This module provides those primitives
 as flat numpy passes over the graph's CSR arrays so the solvers scale to
-``n = 10^6`` — each caller keeps its per-node Python twin as the
-differential oracle (and as the fallback when numpy is unavailable).
-
-Dispatch convention: a caller uses the vector path when
-``HAVE_NUMPY and n >= VEC_MIN_NODES`` — reference ``vec.VEC_MIN_NODES``
-through the module (not a ``from``-import) so tests can pin it to 0 and
-force the vector path onto the small differential corpus.
+``n = 10^6``.  Each solver pass has this one implementation; the
+per-node Python twins it replaced live in ``tests/solver_oracles.py`` as
+differential oracles.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-try:  # pragma: no cover - exercised by presence/absence of numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    np = None
+import numpy as np
 
 from .graph import Graph
 
 __all__ = [
-    "HAVE_NUMPY",
-    "VEC_MIN_NODES",
     "csr_arrays",
     "expand_segments",
     "induced_degrees",
     "member_paths",
 ]
-
-HAVE_NUMPY = np is not None
-
-#: below this node count the per-node Python paths win on constant factors
-VEC_MIN_NODES = 256
-
-
-def use_vector_path(n: int) -> bool:
-    """The dispatch predicate every ported solver shares."""
-    return HAVE_NUMPY and n >= VEC_MIN_NODES
-
 
 def csr_arrays(graph: Graph):
     """The graph's CSR pair as zero-copy int64 numpy views."""
@@ -97,10 +77,8 @@ def member_paths(graph: Graph, member) -> List[List[int]]:
     """Maximal paths induced by the boolean ``member`` mask.
 
     Components are returned in ascending order of their smallest member;
-    each path is ordered from its smaller endpoint — exactly the
-    convention of the per-node tracers in :mod:`repro.lcl.levels`,
-    :mod:`repro.algorithms.generic_phases` and
-    :mod:`repro.algorithms.rake_compress`.  Raises ``ValueError`` when a
+    each path is ordered from its smaller endpoint — the convention the
+    solvers' path orders (and their per-node test oracles) follow.  Raises ``ValueError`` when a
     member has more than two member neighbours (the component is not a
     path); cycles cannot occur on the forest inputs the callers pass.
     """
