@@ -3,17 +3,20 @@
 The pickling path rebuilds every instance inside every worker task (the
 task carries only ``(family, n, seed, index)`` digests and the worker
 re-derives the graph).  At n=10^6 the rebuild dominates the task, so
-:class:`SharedGraphPool` publishes each instance **once**: the CSR arrays
-(``indptr``, ``indices``) and a coded copy of the node inputs are laid
-out in a single :mod:`multiprocessing.shared_memory` segment, and workers
-attach zero-copy views via :meth:`repro.local.graph.Graph.from_csr_buffers`
-instead of rebuilding.
+:class:`SharedGraphPool` publishes each instance **that more than one
+task reads** once: the CSR arrays (``indptr``, ``indices``) and a coded
+copy of the node inputs are laid out in a single
+:mod:`multiprocessing.shared_memory` segment, and workers attach
+zero-copy views via :meth:`repro.local.graph.Graph.from_csr_buffers`
+instead of rebuilding.  An instance read by a single task gains nothing
+from sharing, so the sweep leaves it to that task's worker to build.
 
 Protocol (see ``docs/engine-contract.md``):
 
-1. the parent builds the instance and calls :meth:`SharedGraphPool.publish`
-   under a stable digest key — one segment per graph, layout
-   ``[indptr | indices | input codes]``;
+1. the parent builds each instance read by more than one task (several
+   algorithms or ID-sample chunks) and calls
+   :meth:`SharedGraphPool.publish` under a stable digest key — one
+   segment per graph, layout ``[indptr | indices | input codes]``;
 2. the tiny picklable :class:`GraphSpec` tuples travel to the pool through
    ``fork_map``'s ``initializer``/``initargs`` hook
    (:func:`worker_attach_specs`);

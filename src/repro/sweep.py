@@ -57,6 +57,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -105,6 +106,11 @@ class AlgorithmSpec:
     :class:`~repro.lcl.problem.LCLProblem`).  When set, the sweep pipes
     every produced labeling through ``verify_batch`` on the compiled
     checker kernel and reports per-cell validity counts.
+
+    ``max_degree`` optionally declares the largest node degree the
+    algorithm handles.  :meth:`SweepRunner.run` rejects a family whose
+    ``degree_bound`` is unbounded or exceeds it before anything is
+    built, instead of failing inside a worker.
     """
 
     name: str
@@ -112,6 +118,7 @@ class AlgorithmSpec:
     fast_forward: Optional[Callable[[Graph, List[int]], ExecutionTrace]] = None
     problem: Optional[Callable[[int], object]] = None
     description: str = ""
+    max_degree: Optional[int] = None
 
     def __post_init__(self) -> None:
         if (self.factory is None) == (self.fast_forward is None):
@@ -233,7 +240,7 @@ for _spec in (
                   problem=_proper_coloring_problem(2),
                   description="canonical 2-coloring of forests (Theta(n) avg)"),
     AlgorithmSpec("cole_vishkin", factory=_make_cole_vishkin,
-                  problem=_proper_coloring_problem(3),
+                  problem=_proper_coloring_problem(3), max_degree=2,
                   description="Cole-Vishkin 3-coloring (max degree <= 2)"),
     AlgorithmSpec("wait_whole_graph", factory=_make_wait_whole_graph,
                   description="gather-everything baseline (Theta(diameter))"),
@@ -244,7 +251,7 @@ for _spec in (
                   problem=_proper_coloring_problem(2),
                   description="fast-forward canonical 2-coloring"),
     AlgorithmSpec("cv3_path_ff", fast_forward=_cv3_path_fast_forward,
-                  problem=_proper_coloring_problem(3),
+                  problem=_proper_coloring_problem(3), max_degree=2,
                   description="fast-forward Cole-Vishkin on canonical paths"),
     AlgorithmSpec("weighted25_ff", fast_forward=_weighted25_fast_forward,
                   problem=_weighted_problem("2.5", 5, 2, 2),
@@ -460,15 +467,17 @@ class SweepRunner:
         kernel and record per-cell validity counts.  Algorithms without
         a declared problem report ``validity: null``.
     shared:
-        Zero-copy substrate switch.  ``True`` builds every instance once
-        in the parent and publishes its CSR arrays through
-        :class:`repro.shm.SharedGraphPool`, so workers attach views
-        instead of rebuilding; it also splits rng-mode tasks across ID
-        samples when the sweep has fewer (instance, algorithm) units than
-        workers (attachment makes per-sample tasks cheap).  ``False``
-        always rebuilds in the worker.  The default ``None`` resolves to
-        ``workers > 1``.  The emitted payload is byte-identical either
-        way — sharing is an optimisation, never a semantic switch.
+        Zero-copy substrate switch: ``True`` shares what is shared.  It
+        splits rng-mode tasks across ID samples when the sweep has fewer
+        (instance, algorithm) units than workers, then builds every
+        instance that more than one task reads (several algorithms or
+        sample chunks) once in the parent and publishes its CSR arrays
+        through :class:`repro.shm.SharedGraphPool`, so those tasks attach
+        views instead of rebuilding.  An instance read by a single task
+        is built in that task's worker.  ``False`` always rebuilds in the
+        worker.  The default ``None`` resolves to ``workers > 1``.  The
+        emitted payload is byte-identical either way — sharing is an
+        optimisation, never a semantic switch.
     store:
         Content-addressed result store (a :class:`repro.store.ResultStore`,
         a directory path, or ``None`` to disable).  With a store, every
@@ -536,10 +545,20 @@ class SweepRunner:
             else:
                 get_family(f)  # fail fast on typos
                 family_names.append(f)
-        for a in algorithms:
-            get_algorithm(a)
+        specs = [get_algorithm(a) for a in algorithms]
         if not family_names or not sizes or not algorithms:
             raise ValueError("families, sizes and algorithms must be non-empty")
+        for spec in specs:
+            if spec.max_degree is None:
+                continue
+            for name in family_names:
+                bound = get_family(name).degree_bound
+                if bound is None or bound > spec.max_degree:
+                    raise ValueError(
+                        f"algorithm {spec.name!r} handles max degree "
+                        f"<= {spec.max_degree}, but family {name!r} has "
+                        f"degree_bound={bound}"
+                    )
 
         counts = {
             name: self.instances or get_family(name).default_count
@@ -696,34 +715,38 @@ class SweepRunner:
     ) -> List[_Task]:
         """The task list for the units that actually need simulating.
 
-        With a pool, every unique instance is built once here and
-        published; tasks then carry only its digest key.  When the sweep
-        has fewer (instance, algorithm) units than worker slots and the
-        id mode draws per-sample assignments, units are further split
-        across contiguous sample ranges — chunking never changes the
-        per-cell run order (index-ascending, then sample-ascending), so
-        aggregates stay byte-identical at every worker count, with
+        When the sweep has fewer (instance, algorithm) units than worker
+        slots, a pool is given and the id mode draws per-sample
+        assignments, units are split across contiguous sample ranges.
+        With a pool, an instance is built here and published only when
+        more than one task reads it (several algorithms, or several
+        sample chunks); its tasks then carry only its digest key.  An
+        instance's sole task carries no key and builds the instance in
+        its worker, so single-consumer sweeps generate instances in
+        parallel and fork from a small parent.  Neither choice changes
+        the per-cell run order (index-ascending, then sample-ascending),
+        so aggregates stay byte-identical at every worker count, with
         sharing on or off, and with the store cold or warm.
         """
-        deterministic = ID_MODES[self.id_mode].deterministic
-        parts = 1
-        if (pool is not None and not deterministic
+        chunks = ((0, self.samples),)
+        if (pool is not None and not ID_MODES[self.id_mode].deterministic
                 and len(units) < 2 * self.workers):
-            parts = min(self.samples, -(-2 * self.workers // len(units)))
-        chunks = _sample_chunks(self.samples, parts)
+            chunks = _sample_chunks(self.samples,
+                                    -(-2 * self.workers // len(units)))
+        consumers = Counter((name, n, index) for (name, n, _, index) in units)
 
         tasks: List[_Task] = []
         graph_keys: Dict[Tuple[str, int, int], Optional[str]] = {}
         for (name, n, algo, index) in units:
+            gk = (name, n, index)
             key = None
-            if pool is not None:
-                gk = (name, n, index)
+            if pool is not None and consumers[gk] * len(chunks) > 1:
                 if gk not in graph_keys:
                     graph_keys[gk] = self._publish(pool, name, n, seed, index)
                 key = graph_keys[gk]
-            task_chunks = chunks
-            if key is None or deterministic:
-                task_chunks = ((0, self.samples),)
+            # an instance that failed to publish (alphabet overflow) keeps
+            # its samples in one task: each chunk would rebuild it
+            task_chunks = chunks if key is not None else ((0, self.samples),)
             for base, count in task_chunks:
                 tasks.append(_Task(
                     family=name, n=n, index=index,
@@ -812,11 +835,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "(default: random)")
     parser.add_argument("--shm", action=argparse.BooleanOptionalAction,
                         default=None, dest="shm",
-                        help="publish instances to shared memory so workers "
-                        "attach zero-copy CSR views instead of rebuilding "
-                        "(--no-shm forces the rebuild path; default: on "
-                        "when workers > 1); the JSON payload is identical "
-                        "either way")
+                        help="publish each instance that more than one "
+                        "task reads (several algorithms or sample chunks) "
+                        "to shared memory so workers attach zero-copy CSR "
+                        "views instead of rebuilding; an instance read by "
+                        "one task is built in its worker (--no-shm forces "
+                        "the rebuild path; default: on when workers > 1); "
+                        "the JSON payload is identical either way")
     parser.add_argument("--check", action="store_true",
                         help="verify every produced labeling against its "
                         "algorithm's declared LCL and exit nonzero on any "

@@ -11,6 +11,7 @@ import pytest
 
 from repro.families import Family, get_family
 from repro.local import path_graph
+from repro.shm import SharedGraphPool
 from repro.sweep import (
     ALGORITHMS,
     AlgorithmSpec,
@@ -250,6 +251,65 @@ class TestSharedSubstrate:
         j_split = SweepRunner(workers=4, shared=True, **kwargs).run_json(
             *args, seed=4)
         assert j_serial == j_split
+
+    @pytest.mark.parametrize(
+        "families, algorithms, instances, samples, workers, publishes", [
+            # 8 units >= 2 x workers: no sample split, so every instance
+            # has one reader and is built in its worker
+            (["random_tree", "bounded_tree_d3"], ["rake_layering"],
+             4, 2, 2, 0),
+            # two algorithms read every instance
+            (["random_tree", "bounded_tree_d3"],
+             ["two_coloring", "rake_layering"], 4, 2, 2, 8),
+            # one unit split into sample chunks across the workers
+            (["random_tree"], ["two_coloring"], 1, 6, 4, 1),
+        ])
+    def test_publishes_only_instances_read_by_several_tasks(
+            self, monkeypatch, families, algorithms, instances, samples,
+            workers, publishes):
+        published = []
+        original = SharedGraphPool.publish
+
+        def spy(pool, key, graph):
+            published.append(key)
+            return original(pool, key, graph)
+
+        monkeypatch.setattr(SharedGraphPool, "publish", spy)
+        kwargs = dict(samples=samples, instances=instances)
+        args = (families, [40], algorithms)
+        j_shm = SweepRunner(workers=workers, shared=True, **kwargs).run_json(
+            *args, seed=6)
+        assert len(published) == len(set(published)) == publishes
+        j_serial = SweepRunner(workers=1, **kwargs).run_json(*args, seed=6)
+        j_rebuild = SweepRunner(workers=workers, shared=False,
+                                **kwargs).run_json(*args, seed=6)
+        assert j_shm == j_serial == j_rebuild
+
+
+class TestDegreeCompatibility:
+    @pytest.mark.parametrize("algorithm, family, bound", [
+        ("cole_vishkin", "random_tree", "None"),
+        ("cole_vishkin", "bounded_tree_d3", "3"),
+        ("cv3_path_ff", "caterpillar", "5"),
+    ])
+    def test_incompatible_pair_rejected_before_any_work(
+            self, monkeypatch, tmp_path, algorithm, family, bound):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the degree check")
+
+        monkeypatch.setattr(Family, "instance", no_work)
+        monkeypatch.setattr("repro.sweep.fork_map", no_work)
+        runner = SweepRunner(workers=2, samples=1,
+                             store=str(tmp_path / "store"))
+        monkeypatch.setattr(runner.store, "get", no_work)
+        with pytest.raises(ValueError) as err:
+            runner.run([family], [16], [algorithm])
+        assert family in str(err.value)
+        assert f"degree_bound={bound}" in str(err.value)
+
+    def test_path_still_runs(self):
+        payload = SweepRunner(samples=1).run(["path"], [16], ["cole_vishkin"])
+        assert payload["cells"][0]["validity"]["violations"] == 0
 
 
 class TestWeightedSpecs:
