@@ -21,7 +21,15 @@ one vectorized round over all live nodes at once (algorithms with
 ``decide_batch``, ~10x at large ``n``), or ``engine="reference"`` for
 the recompute-everything-from-the-view oracle when cross-checking
 semantics.  Use ``run_batch`` to sweep many ID assignments over one
-topology.
+topology, drawing them from one seeded rng (``random_ids(n)`` without
+``rng`` returns the same assignment on every call)::
+
+    import random
+
+    rng = random.Random(0)
+    traces = LocalSimulator().run_batch(
+        g, ColeVishkin3Coloring(),
+        [random_ids(g.n, rng=rng) for _ in range(100)])
 """
 
 __version__ = "1.0.0"

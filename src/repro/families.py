@@ -47,6 +47,7 @@ from .local.graph import (
     path_graph,
     star_graph,
 )
+from .local.ids import draw_below
 
 __all__ = [
     "Family",
@@ -117,7 +118,7 @@ def prufer_tree(n: int, rng: random.Random) -> Graph:
         return Graph(1, [])
     if n == 2:
         return Graph(2, [(0, 1)])
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    seq = draw_below(rng, n, n - 2)
     degree = [1] * n
     for v in seq:
         degree[v] += 1
