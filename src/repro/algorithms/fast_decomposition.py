@@ -32,8 +32,7 @@ giving the O(1) node-averaged behaviour — bench E16 measures this.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +45,10 @@ __all__ = ["run_fast_dfree", "FastDFreeSolution", "CONNECT_RADIUS"]
 
 CONNECT_RADIUS = 5
 _ROUNDS_PER_ITER = 3
+
+#: output codes of the solver's working arrays, indices into _LABELS
+_NONE, _CONNECT, _COPY, _DECLINE = 0, 1, 2, 3
+_LABELS = np.array([None, CONNECT, COPY, DECLINE], dtype=object)
 
 
 class FastDFreeSolution:
@@ -77,122 +80,188 @@ def run_fast_dfree(graph: Graph, d: int, delta: Optional[int] = None) -> FastDFr
 
     Requires ``d >= 2`` (Corollary 49's hypothesis; Lemma 48 gives each
     node at most 2 unavoidable Decline neighbours).
+
+    Inputs and adjacency are read once into flat lists; outputs are kept
+    as small integer codes (:data:`_NONE`, :data:`_CONNECT`, ...) until
+    the end.
     """
     if d < 2:
         raise ValueError("the fast solver requires d >= 2 (Corollary 49)")
     n = graph.n
-    outputs: List[Optional[str]] = [None] * n
+    inputs = graph.inputs()
+    for v, lab in enumerate(inputs):
+        if lab not in (A_INPUT, W_INPUT):
+            raise ValueError(f"node {v} has input {lab!r}")
+    is_a = [lab == A_INPUT for lab in inputs]
+    indptr_np, indices_np = vec.csr_arrays(graph)
+    indptr, indices = indptr_np.tolist(), indices_np.tolist()
+    a_nodes = [v for v in range(n) if is_a[v]]
+    codes = [_NONE] * n
     rounds = [0] * n
-    a_nodes = [v for v in graph.nodes() if graph.input_of(v) == A_INPUT]
-    for v in graph.nodes():
-        if graph.input_of(v) not in (A_INPUT, W_INPUT):
-            raise ValueError(f"node {v} has input {graph.input_of(v)!r}")
 
     # ---- Connect preprocessing: A-nodes within distance 5 --------------
-    _mark_close_connects(graph, a_nodes, outputs)
-    for v in graph.nodes():
-        if outputs[v] == CONNECT:
-            rounds[v] = CONNECT_RADIUS
-
-    active_nodes = [v for v in graph.nodes() if outputs[v] is None]
+    close = _close_a_nodes(indptr_np, indices_np, a_nodes)
+    _mark_close_connects(indptr, indices, close, is_a, codes)
 
     # ---- oriented (1, 3, L)-decomposition on the rest -------------------
-    parent, iter_of, iters = _oriented_decomposition(graph, set(active_nodes))
-
-    children: Dict[int, List[int]] = {v: [] for v in active_nodes}
-    for v in active_nodes:
-        p = parent.get(v)
-        if p is not None:
-            children[p].append(v)
+    unmarked = np.array(codes, dtype=np.int8) == _NONE
+    parent, iter_of, iters = _oriented_decomposition(graph, unmarked)
+    kids = np.flatnonzero(parent >= 0)
+    order = np.argsort(parent[kids], kind="stable")
+    child_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent[kids], minlength=n), out=child_ptr[1:])
+    children = (child_ptr.tolist(), kids[order].tolist())
+    parent_l = parent.tolist()
+    iter_l = iter_of.tolist()
 
     # ---- process A-nodes by assignment iteration ------------------------
-    copy_component_of: Dict[int, List[int]] = {}
-    pending = sorted(
-        (v for v in a_nodes if outputs[v] is None),
-        key=lambda v: (iter_of[v], v),
+    pending = np.array(
+        [v for v in a_nodes if codes[v] == _NONE], dtype=np.int64
     )
+    pending = pending[np.lexsort((pending, iter_of[pending]))].tolist()
+    copy_component_of: Dict[int, List[int]] = {}
+    mark = [-1] * n  # mark[u] == v: u is in v's span
+    size = [0] * n
+    has_a = [False] * n
+    depth = [0] * n
     for v in pending:
-        if outputs[v] is not None:
+        if codes[v] != _NONE:
             continue  # swallowed by an earlier A-node's span
-        span = _unassigned_span(v, children, outputs)
-        t_base = _ROUNDS_PER_ITER * iter_of[v]
-        kept = _lemma52_reassign(graph, v, span, children, outputs, d)
+        span = _unassigned_span(v, children, codes, mark)
+        kept = _lemma52_reassign(
+            v, span, children, parent_l, indptr, indices, codes, is_a,
+            mark, size, has_a, depth, d,
+        )
         # assign: kept -> Copy, rest of span -> Decline; borders -> Decline
-        for u, depth in kept.items():
-            outputs[u] = COPY
-            rounds[u] = t_base + depth
+        t_base = _ROUNDS_PER_ITER * iter_l[v]
+        for u in kept:
+            codes[u] = _COPY
+            rounds[u] = t_base + depth[u]
         # declined span nodes and borders terminate at their *own*
         # assignment iteration: in [BBK+23a]'s machinery they are handled
         # by the local-maximum / compress-middle marking without waiting
         # for v (Corollary 47's geometric decay is over exactly these)
         for u in span:
-            if outputs[u] is None and graph.input_of(u) != A_INPUT:
-                outputs[u] = DECLINE
-                rounds[u] = _ROUNDS_PER_ITER * iter_of[u] + 1
+            if codes[u] == _NONE and not is_a[u]:
+                codes[u] = _DECLINE
+                rounds[u] = _ROUNDS_PER_ITER * iter_l[u] + 1
         for u in kept:
-            for w in graph.neighbors(u):
-                if outputs[w] is None and graph.input_of(w) != A_INPUT:
-                    outputs[w] = DECLINE
-                    rounds[w] = _ROUNDS_PER_ITER * iter_of[w] + 1
-        copy_component_of[v] = sorted(kept)
+            for w in indices[indptr[u]:indptr[u + 1]]:
+                if codes[w] == _NONE and not is_a[w]:
+                    codes[w] = _DECLINE
+                    rounds[w] = _ROUNDS_PER_ITER * iter_l[w] + 1
+        kept.sort()
+        copy_component_of[v] = kept
 
     # ---- everything else declines at its own assignment time -----------
-    for v in active_nodes:
-        if outputs[v] is None:
-            outputs[v] = DECLINE
-            rounds[v] = _ROUNDS_PER_ITER * iter_of[v]
+    code_arr = np.array(codes, dtype=np.int8)
+    round_arr = np.array(rounds, dtype=np.int64)
+    rest = unmarked & (code_arr == _NONE)
+    code_arr[rest] = _DECLINE
+    round_arr[rest] = _ROUNDS_PER_ITER * iter_of[rest]
+    round_arr[code_arr == _CONNECT] = CONNECT_RADIUS
 
     return FastDFreeSolution(
-        outputs=[o for o in outputs],  # type: ignore[misc]
-        rounds=rounds,
+        outputs=_LABELS[code_arr].tolist(),
+        rounds=round_arr.tolist(),
         copy_component_of=copy_component_of,
         iterations=iters,
     )
 
 
+def _close_a_nodes(indptr, indices, a_nodes: List[int]) -> List[int]:
+    """The A-nodes with another A-node within distance ``CONNECT_RADIUS``,
+    in ``a_nodes`` order — the only ones whose Connect BFS marks anything.
+
+    One multi-source BFS labels every node with *a* nearest A-node
+    (``owner``) up to distance ``CONNECT_RADIUS - 1``.  Walk a shortest
+    path from ``a`` to its nearest other A-node ``b``: the owner changes
+    from ``a`` somewhere along it, on an edge ``(x, y)`` whose distance
+    sum ``dist[x] + 1 + dist[y]`` is at most ``dist(a, b)``.  So ``a`` is
+    close iff some edge between differently owned nodes has
+    ``owner[x] == a`` and a distance sum of at most ``CONNECT_RADIUS``.
+    """
+    n = indptr.size - 1
+    if len(a_nodes) < 2:
+        return []
+    dist = np.full(n, -1, dtype=np.int64)
+    owner = np.full(n, -1, dtype=np.int64)
+    frontier = np.array(a_nodes, dtype=np.int64)
+    dist[frontier] = 0
+    owner[frontier] = frontier
+    for r in range(1, CONNECT_RADIUS):
+        src, nbr = vec.expand_segments(indptr, indices, frontier)
+        new = dist[nbr] < 0
+        # a node reached from several frontier nodes keeps one of their
+        # owners — any nearest A-node will do
+        dist[nbr[new]] = r
+        owner[nbr[new]] = owner[src[new]]
+        frontier = np.flatnonzero(dist == r)
+    src, nbr = vec.expand_segments(
+        indptr, indices, np.flatnonzero(dist >= 0)
+    )
+    edge = (
+        (dist[nbr] >= 0)
+        & (owner[src] != owner[nbr])
+        & (dist[src] + 1 + dist[nbr] <= CONNECT_RADIUS)
+    )
+    close = np.zeros(n, dtype=bool)
+    close[owner[src[edge]]] = True
+    return [v for v in a_nodes if close[v]]
+
+
 def _mark_close_connects(
-    graph: Graph, a_nodes: Sequence[int], outputs: List[Optional[str]]
+    indptr: List[int],
+    indices: List[int],
+    a_nodes: List[int],
+    is_a: List[bool],
+    codes: List[int],
 ) -> None:
-    a_set = set(a_nodes)
+    """Per A-node, a BFS of radius ``CONNECT_RADIUS``; every BFS-tree path
+    from it to another A-node it reaches outputs Connect."""
+    n = len(codes)
+    seen = [-1] * n  # seen[w] == src: reached by src's BFS
+    par = [-1] * n
     for src in a_nodes:
-        dist = {src: 0}
-        par: Dict[int, Optional[int]] = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if dist[u] == CONNECT_RADIUS:
-                continue
-            for w in graph.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    par[w] = u
-                    queue.append(w)
-        for other in dist:
-            if other != src and other in a_set:
-                node: Optional[int] = other
-                while node is not None:
-                    outputs[node] = CONNECT
-                    node = par[node]
+        seen[src] = src
+        par[src] = -1
+        layer = [src]
+        found = []
+        for _ in range(CONNECT_RADIUS):
+            nxt = []
+            for u in layer:
+                for w in indices[indptr[u]:indptr[u + 1]]:
+                    if seen[w] != src:
+                        seen[w] = src
+                        par[w] = u
+                        nxt.append(w)
+                        if is_a[w]:
+                            found.append(w)
+            layer = nxt
+        for node in found:
+            while node != -1:
+                codes[node] = _CONNECT
+                node = par[node]
 
 
 def _oriented_decomposition(
-    graph: Graph, members: Set[int]
-) -> Tuple[Dict[int, Optional[int]], Dict[int, int], int]:
-    """Rake-compress (gamma=1, ell=3) restricted to ``members``.
+    graph: Graph, member
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Rake-compress (gamma=1, ell=3) restricted to the boolean ``member``
+    mask.
 
-    Returns (parent, iteration_of, iterations).  ``parent[v]`` is the
-    unique alive neighbour at v's rake removal (edges oriented
-    parent -> v per Observation 46); compress-chunk nodes get no parent,
-    which caps oriented-chain depth by the iteration count.
+    Returns ``(parent, iteration_of, iterations)`` as int64 arrays over
+    all nodes.  ``parent[v]`` is the unique alive neighbour at v's rake
+    removal (edges oriented parent -> v per Observation 46), ``-1`` for
+    compress-chunk nodes (which caps oriented-chain depth by the
+    iteration count) and for non-members; non-members have iteration 0.
 
     The peeling runs as flat numpy sweeps, with the batch-removal
     equivalences of :func:`~repro.algorithms.rake_compress.rake_compress`.
     """
     n = graph.n
     indptr, indices = vec.csr_arrays(graph)
-    member = np.zeros(n, dtype=bool)
-    if members:
-        member[sorted(members)] = True
+    member = np.asarray(member, dtype=bool)
     deg = vec.induced_degrees(indptr, indices, member)
     alive = member.copy()
     parent_arr = np.full(n, -1, dtype=np.int64)
@@ -243,90 +312,94 @@ def _oriented_decomposition(
             iter_arr[arr] = i
             batch_remove(arr)
 
-    parent: Dict[int, Optional[int]] = {}
-    iter_of: Dict[int, int] = {}
-    parents = parent_arr.tolist()
-    iters = iter_arr.tolist()
-    for v in np.nonzero(member)[0].tolist():
-        p = parents[v]
-        parent[v] = None if p == -1 else p
-        iter_of[v] = iters[v]
-    return parent, iter_of, i
+    return parent_arr, iter_arr, i
 
 
 def _unassigned_span(
-    v: int, children: Dict[int, List[int]], outputs: List[Optional[str]]
+    v: int,
+    children: Tuple[List[int], List[int]],
+    codes: List[int],
+    mark: List[int],
 ) -> List[int]:
     """Nodes reachable from v along oriented (parent->child) edges that
-    have no output yet — the raw ``C(v)`` of Lemma 50."""
+    have no output yet — the raw ``C(v)`` of Lemma 50 — each marked
+    ``mark[u] = v``.  Parents precede their children in the list."""
+    child_ptr, child_idx = children
+    mark[v] = v
     span = [v]
     stack = [v]
-    seen = {v}
     while stack:
         u = stack.pop()
-        for c in children.get(u, ()):
-            if c not in seen and outputs[c] is None:
-                seen.add(c)
+        for c in child_idx[child_ptr[u]:child_ptr[u + 1]]:
+            if codes[c] == _NONE:
+                mark[c] = v
                 span.append(c)
                 stack.append(c)
     return span
 
 
 def _lemma52_reassign(
-    graph: Graph,
     v: int,
     span: List[int],
-    children: Dict[int, List[int]],
-    outputs: List[Optional[str]],
+    children: Tuple[List[int], List[int]],
+    parent: List[int],
+    indptr: List[int],
+    indices: List[int],
+    codes: List[int],
+    is_a: List[bool],
+    mark: List[int],
+    size: List[int],
+    has_a: List[bool],
+    depth: List[int],
     d: int,
-) -> Dict[int, int]:
+) -> List[int]:
     """Lemma 52: prune the raw span to a Copy set of size
     ``O(|span|^{x'})`` while keeping every Copy node within its Decline
-    budget.  Returns ``{kept node: depth from v}``.
+    budget.  Returns the kept nodes in BFS order from ``v``, with
+    ``depth[u]`` their depth below ``v``.
 
     ``pre(u)`` counts neighbours that are already Decline or that are
     outside the span (borders, which will decline); each Copy node may
     decline up to ``d - pre(u)`` of its heaviest child subtrees.
     """
-    span_set = set(span)
-    size: Dict[int, int] = {u: 1 for u in span}
-    has_a: Dict[int, bool] = {
-        u: graph.input_of(u) == A_INPUT and u != v for u in span
-    }
-    stack = [(v, False)]
-    while stack:
-        u, done = stack.pop()
-        if done:
-            for c in children.get(u, ()):
-                if c in span_set:
-                    size[u] += size[c]
-                    has_a[u] = has_a[u] or has_a[c]
-            continue
-        stack.append((u, True))
-        for c in children.get(u, ()):
-            if c in span_set:
-                stack.append((c, False))
+    child_ptr, child_idx = children
+    for u in span:
+        size[u] = 1
+        has_a[u] = is_a[u] and u != v
+    # subtree sizes: the span lists every parent before its children
+    for u in reversed(span[1:]):
+        p = parent[u]
+        size[p] += size[u]
+        if has_a[u]:
+            has_a[p] = True
 
-    kept: Dict[int, int] = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        kids = [c for c in children.get(u, ()) if c in span_set]
-        pre = sum(
-            1
-            for w in graph.neighbors(u)
-            if (w not in span_set and outputs[w] in (None, DECLINE))
-        )
+    depth[v] = 0
+    kept = [v]
+    head = 0
+    while head < len(kept):
+        u = kept[head]
+        head += 1
+        kids = [
+            c for c in child_idx[child_ptr[u]:child_ptr[u + 1]]
+            if mark[c] == v
+        ]
+        if not kids:
+            continue
+        pre = 0
+        for w in indices[indptr[u]:indptr[u + 1]]:
+            if mark[w] != v and (codes[w] == _NONE or codes[w] == _DECLINE):
+                pre += 1
         budget = max(0, d - pre)
         # decline the heaviest A-free child subtrees; subtrees containing
         # another A-node must stay Copy-connected (that node roots its own
         # component later and may never be declined)
-        declinable = sorted(
-            (c for c in kids if not has_a[c]), key=lambda c: -size[c]
-        )
-        declined = set(declinable[:budget])
+        declinable = [c for c in kids if not has_a[c]]
+        if budget < len(declinable):
+            declinable.sort(key=size.__getitem__, reverse=True)
+            declinable = declinable[:budget]
+        declined = set(declinable)
         for c in kids:
             if c not in declined:
-                kept[c] = kept[u] + 1
-                queue.append(c)
+                depth[c] = depth[u] + 1
+                kept.append(c)
     return kept

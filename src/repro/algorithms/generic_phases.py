@@ -42,7 +42,7 @@ from ..local import vec
 from ..local.graph import Graph
 from ..local.ids import id_space_size
 from ..local.metrics import ExecutionTrace
-from .symmetry_breaking import cv_total_rounds, three_color_path
+from .symmetry_breaking import three_color_paths
 
 __all__ = [
     "phase_schedule",
@@ -148,8 +148,9 @@ def run_generic_fast_forward(
     # phase k
     s_k = starts[k - 1]
     space = id_space_size(max(2, n), id_exponent)
-    for path in _alive_level_paths(graph, levels, alive, k):
-        if variant == "2.5":
+    paths = _alive_level_paths(graph, levels, alive, k)
+    if variant == "2.5":
+        for path in paths:
             colors = _canonical_2coloring(path, ids)
             m = len(path)
             for idx, (v, col) in enumerate(zip(path, colors)):
@@ -157,8 +158,12 @@ def run_generic_fast_forward(
                 # node knows its whole path after exactly ecc exchanges
                 ecc = max(idx, m - 1 - idx)
                 _commit(v, col, s_k + ecc + time_offset, rounds, outputs, alive)
-        else:
-            cv_colors, t_cv = three_color_path([ids[v] for v in path], space)
+    elif paths:
+        # every surviving path runs the same CV schedule: one kernel pass
+        colorings, t_cv = three_color_paths(
+            [[ids[v] for v in path] for path in paths], space
+        )
+        for path, cv_colors in zip(paths, colorings):
             for v, c in zip(path, cv_colors):
                 _commit(
                     v, COLORS_3[c], s_k + t_cv + time_offset, rounds, outputs, alive

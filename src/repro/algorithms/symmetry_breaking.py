@@ -35,6 +35,7 @@ __all__ = [
     "cv_total_rounds",
     "cv_step",
     "three_color_path",
+    "three_color_paths",
     "ColeVishkin3Coloring",
     "CanonicalTwoColoring",
     "two_coloring_fast_forward",
@@ -83,19 +84,6 @@ def cv_step(label: int, parent_label: Optional[int]) -> int:
     return 2 * i + ((label >> i) & 1)
 
 
-def _forest_parents(ids: Sequence[int], neighbors: Sequence[Sequence[int]]):
-    """Per-forest parent of each node: outgoing (larger-ID) neighbours
-    ranked ascending; rank 0 -> F1, rank 1 -> F2.  Returns two parent
-    arrays (entries are node indices or None)."""
-    p1: List[Optional[int]] = []
-    p2: List[Optional[int]] = []
-    for i, nbrs in enumerate(neighbors):
-        larger = sorted((j for j in nbrs if ids[j] > ids[i]), key=lambda j: ids[j])
-        p1.append(larger[0] if len(larger) >= 1 else None)
-        p2.append(larger[1] if len(larger) >= 2 else None)
-    return p1, p2
-
-
 def three_color_path(ids: Sequence[int], space: int) -> Tuple[List[int], int]:
     """Fast-forward Cole–Vishkin on one path (IDs given in path order).
 
@@ -104,61 +92,136 @@ def three_color_path(ids: Sequence[int], space: int) -> Tuple[List[int], int]:
     procedure :class:`ColeVishkin3Coloring` runs distributedly; tests
     assert agreement.
     """
-    m = len(ids)
-    if m == 0:
+    if len(ids) == 0:
         return [], 0
-    if len(set(ids)) != m:
+    colors, rounds = three_color_paths([ids], space)
+    return colors[0], rounds
+
+
+def three_color_paths(
+    id_paths: Sequence[Sequence[int]], space: int
+) -> Tuple[List[List[int]], int]:
+    """:func:`three_color_path` on several disjoint paths in one pass of
+    the array kernel :class:`ColeVishkin3Coloring` runs: the paths are
+    laid end to end with no edge between them, so each one gets exactly
+    the colours it would get alone.  Every path must be non-empty."""
+    lengths = [len(p) for p in id_paths]
+    if min(lengths, default=1) < 1:
+        raise ValueError("paths must be non-empty")
+    if any(len(set(p)) != m for p, m in zip(id_paths, lengths)):
         raise ValueError("IDs on a path must be distinct")
-    neighbors = [[j for j in (i - 1, i + 1) if 0 <= j < m] for i in range(m)]
-    p1, p2 = _forest_parents(ids, neighbors)
-    labels1 = list(ids)
-    labels2 = list(ids)
-    for _ in range(cv_iterations(space)):
-        labels1 = [
-            cv_step(labels1[i], labels1[p1[i]] if p1[i] is not None else None)
-            for i in range(m)
-        ]
-        labels2 = [
-            cv_step(labels2[i], labels2[p2[i]] if p2[i] is not None else None)
-            for i in range(m)
-        ]
-    # per-forest shedding 5, 4, 3 (forest degree <= 2 on a path)
-    forest_nbrs = [_forest_neighbor_lists(p, m) for p in (p1, p2)]
+    total = sum(lengths)
+    pos = np.arange(total, dtype=np.int64)
+    ends = np.cumsum(lengths, dtype=np.int64) - 1
+    nbr = np.stack((pos - 1, pos + 1), axis=1)
+    nbr[ends[:-1] + 1, 0] = -1
+    nbr[ends, 1] = -1
+    iters = cv_iterations(space)
+    st = _cv_state(nbr, [v for p in id_paths for v in p], iters)
+    for _ in range(iters):
+        _cv_step(st)
     for color in (5, 4, 3):
-        labels1 = _shed(labels1, forest_nbrs[0], color, (0, 1, 2))
-        labels2 = _shed(labels2, forest_nbrs[1], color, (0, 1, 2))
-    composite = [3 * a + b for a, b in zip(labels1, labels2)]
+        _shed_forests(st, color)
+    st["comp"] = 3 * st["l1"] + st["l2"]
     for color in (8, 7, 6, 5, 4, 3):
-        composite = _shed(composite, neighbors, color, (0, 1, 2))
-    assert all(composite[i] != composite[j] for i in range(m) for j in neighbors[i])
-    assert all(0 <= c <= 2 for c in composite)
-    return composite, cv_total_rounds(space)
+        st["comp"] = _shed_composite(st, color)
+    comp = st["comp"]
+    has = nbr >= 0
+    assert (comp[nbr[has]] != np.repeat(comp, has.sum(axis=1))).all()
+    assert ((0 <= comp) & (comp <= 2)).all()
+    flat = comp.tolist()
+    bounds = np.concatenate(([0], ends + 1)).tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])], cv_total_rounds(space)
 
 
-def _forest_neighbor_lists(parent: Sequence[Optional[int]], m: int) -> List[List[int]]:
-    nbrs: List[List[int]] = [[] for _ in range(m)]
-    for child, par in enumerate(parent):
-        if par is not None:
-            nbrs[child].append(par)
-            nbrs[par].append(child)
-    return nbrs
+# ----------------------------------------------------------------------
+# the array kernel: both executors advance the same state
+# ----------------------------------------------------------------------
+def _cv_state(nbr, ids: Sequence[int], iters: int) -> dict:
+    """Kernel state for a graph of degree <= 2: ``nbr`` is its adjacency
+    padded to an ``(n, 2)`` int64 array (-1 marking missing slots).
+
+    Returns the forest parents ``p1``/``p2`` — the (up to two) larger-ID
+    neighbours ranked ascending by ID, as in ``transition()`` — and both
+    forest labels, initially the IDs.  IDs of 2**63 or more do not fit
+    int64: their labels start as Python ints (an object array) and the
+    first :func:`_cv_step` brings them below ``2 * bit_length``, so at
+    least one step must run.
+    """
+    try:
+        labels = np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        if iters == 0:
+            raise ValueError(
+                "IDs of 2**63 or more need at least one Cole-Vishkin "
+                "step; the ID space gives none"
+            ) from None
+        labels = np.empty(len(ids), dtype=object)
+        labels[:] = ids
+    a, b = nbr[:, 0], nbr[:, 1]
+    ia = np.where(a >= 0, labels[a], -1)
+    ib = np.where(b >= 0, labels[b], -1)
+    a_big, b_big = ia > labels, ib > labels
+    both = a_big & b_big
+    a_first = both & (ia < ib)
+    b_first = both & ~a_first
+    p1 = np.where(a_big & ~b_big, a, np.where(b_big & ~a_big, b, -1))
+    p1 = np.where(a_first, a, np.where(b_first, b, p1))
+    p2 = np.where(a_first, b, np.where(b_first, a, np.int64(-1)))
+    return {"nbr": nbr, "p1": p1, "p2": p2,
+            "l1": labels, "l2": labels.copy(), "comp": None}
 
 
-def _shed(
-    labels: List[int],
-    neighbors: Sequence[Sequence[int]],
-    color: int,
-    palette: Tuple[int, ...],
-) -> List[int]:
-    """One shedding round: nodes holding ``color`` recolour greedily into
-    ``palette`` avoiding neighbours' current labels (degree < len(palette)
-    guarantees a free colour; two ``color`` nodes are never adjacent)."""
-    out = list(labels)
-    for v, lab in enumerate(labels):
-        if lab == color:
-            used = {labels[w] for w in neighbors[v]}
-            out[v] = next(c for c in palette if c not in used)
-    return out
+#: ``int.bit_length`` over an object array, for labels beyond int64
+_BIT_LENGTH = np.frompyfunc(int.bit_length, 1, 1)
+
+
+def _cv_step(st: dict) -> None:
+    """One Cole–Vishkin iteration on both forests at once (``cv_step``
+    vectorized).  The lsb position is the exact log2 of a power of two
+    for int64 labels, and ``bit_length - 1`` for Python-int labels,
+    which this step reduces to int64."""
+    for key, parent in (("l1", st["p1"]), ("l2", st["p2"])):
+        lab = st[key]
+        rooted = parent < 0
+        diff = np.where(rooted, 1, lab ^ lab[parent])
+        assert diff.all(), "CV step requires distinct adjacent labels"
+        lsb = diff & -diff
+        if lab.dtype == object:
+            i = _BIT_LENGTH(lsb).astype(np.int64) - 1
+        else:
+            i = np.log2(lsb.astype(np.float64)).astype(np.int64)
+        st[key] = np.where(
+            rooted, lab & 1, 2 * i + ((lab >> i) & 1)
+        ).astype(np.int64, copy=False)
+
+
+def _shed_forests(st: dict, color: int) -> None:
+    """One simultaneous per-forest shedding round on both forests: nodes
+    holding ``color`` take the lowest colour in {0,1,2} absent from their
+    forest neighbourhood (parent + children), from the pre-round labels
+    — exactly ``_shed_forest``."""
+    for key, parent in (("l1", st["p1"]), ("l2", st["p2"])):
+        lab = st[key]
+        used = np.zeros(len(lab), dtype=np.int64)
+        has_parent = parent >= 0
+        used[has_parent] |= np.int64(1) << lab[parent[has_parent]]
+        np.bitwise_or.at(
+            used, parent[has_parent], np.int64(1) << lab[has_parent]
+        )
+        st[key] = np.where(lab == color, _LOWEST_FREE[~used & 7], lab)
+
+
+def _shed_composite(st: dict, color: int):
+    """One simultaneous composite shedding round over the real graph
+    neighbourhoods (degree <= 2)."""
+    comp, nbr = st["comp"], st["nbr"]
+    used = np.zeros(len(comp), dtype=np.int64)
+    for j in (0, 1):
+        col = nbr[:, j]
+        has = col >= 0
+        used[has] |= np.int64(1) << comp[col[has]]
+    return np.where(comp == color, _LOWEST_FREE[~used & 7], comp)
 
 
 # ----------------------------------------------------------------------
@@ -289,89 +352,34 @@ class ColeVishkin3Coloring(MessageAlgorithm):
             return [(v, int(comp[v])) for v in live]
         st = self._bstate
         if st is None:
-            st = self._bstate = self._batch_init(views)
+            st = self._bstate = _cv_state(
+                _padded_adjacency(views.graph), views.ids, self._iters
+            )
         iters = self._iters
         if t < iters:
-            self._batch_cv_step(st)
+            _cv_step(st)
         elif t < iters + 3:
-            color = 5 - (t - iters)
-            for key, parent in (("l1", st["p1"]), ("l2", st["p2"])):
-                st[key] = self._batch_shed_forest(st[key], parent, color)
+            _shed_forests(st, 5 - (t - iters))
             if t == iters + 2:
                 st["comp"] = 3 * st["l1"] + st["l2"]
         else:
-            color = 8 - (t - iters - 3)
-            st["comp"] = self._batch_shed_composite(st, color)
+            st["comp"] = _shed_composite(st, 8 - (t - iters - 3))
         return []
 
-    @staticmethod
-    def _batch_init(views) -> dict:
-        from ..local.frontier import csr_numpy
 
-        graph, n = views.graph, views.n
-        ids = np.asarray(views.ids, dtype=np.int64)
-        # degree <= 2 (enforced by setup): pad adjacency to an (n, 2)
-        # array, -1 marking missing slots
-        ip, ix = csr_numpy(graph)
-        deg = ip[1:] - ip[:-1]
-        nbr = np.full((n, 2), -1, dtype=np.int64)
-        has1 = deg >= 1
-        nbr[has1, 0] = ix[ip[:-1][has1]]
-        has2 = deg >= 2
-        nbr[has2, 1] = ix[ip[:-1][has2] + 1]
-        # forest parents: the (up to two) larger-ID neighbours, ranked
-        # ascending by ID — identical to _forest_parents / transition()
-        a, b = nbr[:, 0], nbr[:, 1]
-        ia = np.where(a >= 0, ids[a], np.int64(-1))
-        ib = np.where(b >= 0, ids[b], np.int64(-1))
-        a_big, b_big = ia > ids, ib > ids
-        both = a_big & b_big
-        a_first = both & (ia < ib)
-        b_first = both & ~a_first
-        p1 = np.where(a_big & ~b_big, a, np.where(b_big & ~a_big, b, -1))
-        p1 = np.where(a_first, a, np.where(b_first, b, p1))
-        p2 = np.where(a_first, b, np.where(b_first, a, np.int64(-1)))
-        return {"nbr": nbr, "p1": p1, "p2": p2,
-                "l1": ids.copy(), "l2": ids.copy(), "comp": None}
+def _padded_adjacency(graph: Graph):
+    """The adjacency of a degree-<=2 graph as an ``(n, 2)`` int64 array,
+    neighbours in CSR order, -1 marking missing slots."""
+    from ..local.frontier import csr_numpy
 
-    @staticmethod
-    def _batch_cv_step(st: dict) -> None:
-        """One Cole–Vishkin iteration on both forests at once (cv_step
-        vectorized: lsb position via exact log2 of a power of two)."""
-        for key, parent in (("l1", st["p1"]), ("l2", st["p2"])):
-            lab = st[key]
-            rooted = parent < 0
-            diff = np.where(rooted, np.int64(1), lab ^ lab[parent])
-            assert diff.all(), "CV step requires distinct adjacent labels"
-            lsb = diff & -diff
-            i = np.log2(lsb.astype(np.float64)).astype(np.int64)
-            st[key] = np.where(rooted, lab & 1, 2 * i + ((lab >> i) & 1))
-
-    @staticmethod
-    def _batch_shed_forest(lab, parent, color: int):
-        """One simultaneous per-forest shedding round: nodes holding
-        ``color`` take the lowest colour in {0,1,2} absent from their
-        forest neighbourhood (parent + children), from the pre-round
-        labels — exactly ``_shed_forest``."""
-        used = np.zeros(len(lab), dtype=np.int64)
-        has_parent = parent >= 0
-        used[has_parent] |= np.int64(1) << lab[parent[has_parent]]
-        np.bitwise_or.at(
-            used, parent[has_parent], np.int64(1) << lab[has_parent]
-        )
-        return np.where(lab == color, _LOWEST_FREE[~used & 7], lab)
-
-    @staticmethod
-    def _batch_shed_composite(st: dict, color: int):
-        """One simultaneous composite shedding round over the real graph
-        neighbourhoods (degree <= 2)."""
-        comp, nbr = st["comp"], st["nbr"]
-        used = np.zeros(len(comp), dtype=np.int64)
-        for j in (0, 1):
-            col = nbr[:, j]
-            has = col >= 0
-            used[has] |= np.int64(1) << comp[col[has]]
-        return np.where(comp == color, _LOWEST_FREE[~used & 7], comp)
+    ip, ix = csr_numpy(graph)
+    deg = ip[1:] - ip[:-1]
+    nbr = np.full((graph.n, 2), -1, dtype=np.int64)
+    has1 = deg >= 1
+    nbr[has1, 0] = ix[ip[:-1][has1]]
+    has2 = deg >= 2
+    nbr[has2, 1] = ix[ip[:-1][has2] + 1]
+    return nbr
 
 
 # ----------------------------------------------------------------------

@@ -18,16 +18,19 @@ Theorem 2: the node-averaged complexity is ``O(n^{alpha_1})``.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence
+from collections import defaultdict
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..analysis.landscape import alpha_vector_poly, efficiency_factor
 from ..lcl.dfree import A_INPUT, CONNECT as DF_CONNECT, COPY as DF_COPY, W_INPUT
 from ..lcl.levels import compute_levels
 from ..lcl.weighted import ACTIVE, WEIGHT, connect, copy_of, decline
+from ..local import vec
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
-from .dfree_solver import run_algorithm_a
+from .dfree_solver import dfree_radius, run_algorithm_a
 from .generic_phases import run_generic_fast_forward
 from ..analysis.mathutil import log_star
 
@@ -74,78 +77,126 @@ def run_weighted_solver(
     Pi^{3.5} benchmarks for comparison.
     """
     n = graph.n
-    active = [v for v in graph.nodes() if graph.input_of(v) == ACTIVE]
-    weight = [v for v in graph.nodes() if graph.input_of(v) == WEIGHT]
     if gammas is None:
         regime = "poly" if variant == "2.5" else "logstar"
         gammas = apoly_gammas(n, delta, d, k, regime)
+    R = dfree_radius(n, d)[1] if n else 0
 
-    rounds = [0] * n
-    outputs: List = [None] * n
-
-    # ---- active side: generic phase algorithm ------------------------
-    if active:
-        levels = compute_levels(graph, k, restrict=active)
-        tr = run_generic_fast_forward(
-            graph, ids, k, gammas, variant,
-            id_exponent=id_exponent, levels=levels, restrict=active,
-        )
-        for v in active:
-            rounds[v] = tr.rounds[v]
-            outputs[v] = tr.outputs[v]
-
-    # ---- weight side: Algorithm A on the weight forest ---------------
-    if weight:
-        active_set = set(active)
-        sub, remap = graph.induced_subgraph(weight)
-        inv = {new: old for old, new in remap.items()}
-        dfree_inputs = [
-            A_INPUT
-            if any(w in active_set for w in graph.neighbors(inv[new]))
-            else W_INPUT
-            for new in sub.nodes()
-        ]
-        sub = sub.with_inputs(dfree_inputs)
+    def algorithm_a(sub: Graph):
         sol = run_algorithm_a(sub, d, n_global=n)
-        R = sol.rounds
+        return sol.outputs, [sol.rounds] * sub.n, sol.copy_component_of
 
-        for new in sub.nodes():
-            old = inv[new]
-            lab = sol.outputs[new]
-            if lab == DF_CONNECT:
-                outputs[old] = connect()
-                rounds[old] = R
-            elif lab != DF_COPY:
-                outputs[old] = decline()
-                rounds[old] = R
-
-        # Copy components: flood the adopted active output
-        for a_new, comp in sol.copy_component_of.items():
-            if not comp:
-                continue
-            u = inv[a_new]
-            candidates = [
-                w for w in graph.neighbors(u) if w in active_set
-            ]
-            assert candidates, "Copy A-node without an active neighbour"
-            v = min(candidates, key=lambda w: (rounds[w], ids[w]))
-            secondary = outputs[v]
-            start = max(R, rounds[v] + 1)
-            dist = _component_distances(sub, a_new, set(comp))
-            for w_new in comp:
-                old = inv[w_new]
-                outputs[old] = copy_of(secondary)
-                rounds[old] = start + dist[w_new]
-
-    missing = [v for v in graph.nodes() if outputs[v] is None]
+    rounds, outputs, weight = solve_weighted(
+        graph, ids, k, gammas, variant, id_exponent, algorithm_a
+    )
+    missing = outputs.count(None)
     if missing:
-        raise RuntimeError(f"weighted solver left {len(missing)} nodes unlabeled")
+        raise RuntimeError(f"weighted solver left {missing} nodes unlabeled")
     return ExecutionTrace(
         rounds=rounds,
         outputs=outputs,
         algorithm=f"a_poly-{variant}",
         meta={"gammas": list(gammas), "dfree_rounds": R if weight else 0},
     )
+
+
+def solve_weighted(
+    graph: Graph,
+    ids: Sequence[int],
+    k: int,
+    gammas: Sequence[int],
+    variant: str,
+    id_exponent: int,
+    solve_weight: Callable[[Graph], tuple],
+) -> Tuple[List[int], List, int]:
+    """The composition both weighted solvers share.
+
+    Active nodes run the generic phase algorithm on the active
+    components.  Weight nodes form the d-free instance: the weight
+    forest, with input ``A`` on every weight node adjacent to an active
+    node and ``W`` elsewhere.  ``solve_weight(sub)`` returns its
+    ``(labels, per-node rounds, copy_component_of)``; Connect and Decline
+    nodes keep their label and round.  Each Copy component ``C(u)`` waits
+    for the active neighbour ``v`` of ``u`` that commits first (smaller
+    ID on ties), then floods ``v``'s output through the component as the
+    secondary output: node ``w`` commits at
+    ``max(T_u, T_v + 1) + dist_C(u, w)``.
+
+    Returns ``(rounds, outputs, number of weight nodes)``; nodes with
+    any other input stay unlabeled (``None``).
+    """
+    n = graph.n
+    kind = defaultdict(int, {ACTIVE: 1, WEIGHT: 2})
+    kinds = np.fromiter(map(kind.__getitem__, graph.inputs()), np.int8, n)
+    is_active = kinds == 1
+    active = np.flatnonzero(is_active).tolist()
+    weight = np.flatnonzero(kinds == 2)
+    rounds: List[int] = [0] * n
+    outputs: List = [None] * n
+    if active:
+        levels = compute_levels(graph, k, restrict=active)
+        tr = run_generic_fast_forward(
+            graph, ids, k, gammas, variant,
+            id_exponent=id_exponent, levels=levels, restrict=active,
+        )
+        rounds, outputs = tr.rounds, tr.outputs
+    if not weight.size:
+        return rounds, outputs, 0
+
+    indptr, indices = vec.csr_arrays(graph)
+    sub, _ = graph.induced_subgraph(weight)
+    touches = vec.induced_degrees(indptr, indices, is_active)[weight] > 0
+    sub = sub.with_inputs(np.where(touches, A_INPUT, W_INPUT).tolist())
+    labels, sub_rounds, components = solve_weight(sub)
+
+    old_of = weight.tolist()
+    conn, dec = connect(), decline()
+    for old, lab, t in zip(old_of, labels, sub_rounds):
+        if lab == DF_CONNECT:
+            outputs[old] = conn
+            rounds[old] = t
+        elif lab != DF_COPY:
+            outputs[old] = dec
+            rounds[old] = t
+
+    roots = [a for a, comp in components.items() if comp]
+    if not roots:
+        return rounds, outputs, weight.size
+    members = np.array(
+        [w for a in roots for w in components[a]], dtype=np.int64
+    )
+    comp_of = np.full(sub.n, -1, dtype=np.int64)
+    comp_of[members] = np.repeat(
+        np.arange(len(roots)), [len(components[a]) for a in roots]
+    )
+    assert np.count_nonzero(comp_of >= 0) == members.size, (
+        "Copy components overlap"
+    )
+    dist = _component_distances(sub, roots, comp_of)
+
+    # each component adopts the output of the first-committing active
+    # neighbour of its root
+    ip, ix = graph.adjacency()
+    active_l = is_active.tolist()
+    starts, labels_of = [], []
+    for a in roots:
+        u = old_of[a]
+        best = -1
+        for w in ix[ip[u]:ip[u + 1]]:
+            if active_l[w] and (
+                best < 0 or (rounds[w], ids[w]) < (rounds[best], ids[best])
+            ):
+                best = w
+        assert best >= 0, "Copy root without an active neighbour"
+        starts.append(max(sub_rounds[a], rounds[best] + 1))
+        labels_of.append(copy_of(outputs[best]))
+    comp_idx = comp_of[members]
+    commit = (np.array(starts, dtype=np.int64)[comp_idx] + dist[members])
+    for w, c, t in zip(members.tolist(), comp_idx.tolist(), commit.tolist()):
+        old = old_of[w]
+        outputs[old] = labels_of[c]
+        rounds[old] = t
+    return rounds, outputs, weight.size
 
 
 def run_apoly(graph, ids, delta, d, k, **kw) -> ExecutionTrace:
@@ -160,13 +211,20 @@ def run_a35(graph, ids, delta, d, k, **kw) -> ExecutionTrace:
     return run_weighted_solver(graph, ids, delta, d, k, "3.5", **kw)
 
 
-def _component_distances(graph: Graph, source: int, comp: set) -> Dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if w in comp and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+def _component_distances(graph: Graph, roots: Sequence[int], comp_of):
+    """Per node, the BFS distance from its component's root inside the
+    component (``comp_of[v]`` is v's component index, -1 outside any):
+    one layered BFS from all roots, crossing only edges that stay inside
+    a component."""
+    indptr, indices = vec.csr_arrays(graph)
+    dist = np.full(graph.n, -1, dtype=np.int64)
+    frontier = np.array(roots, dtype=np.int64)
+    dist[frontier] = 0
+    r = 0
+    while frontier.size:
+        r += 1
+        src, nbr = vec.expand_segments(indptr, indices, frontier)
+        step = (comp_of[nbr] == comp_of[src]) & (dist[nbr] < 0)
+        dist[nbr[step]] = r
+        frontier = np.flatnonzero(dist == r)
     return dist

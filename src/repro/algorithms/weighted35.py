@@ -21,17 +21,12 @@ fast solver itself needs ``d >= 2``).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from ..lcl.dfree import A_INPUT, CONNECT as DF_CONNECT, COPY as DF_COPY, W_INPUT
-from ..lcl.levels import compute_levels
-from ..lcl.weighted import ACTIVE, WEIGHT, connect, copy_of, decline
 from ..local.graph import Graph
 from ..local.metrics import ExecutionTrace
 from .fast_decomposition import run_fast_dfree
-from .generic_phases import run_generic_fast_forward
-from .weighted25 import apoly_gammas
+from .weighted25 import apoly_gammas, solve_weighted
 
 __all__ = ["run_weighted35"]
 
@@ -49,80 +44,22 @@ def run_weighted35(
     if d < 3 or delta < d + 3:
         raise ValueError("Theorem 5 requires d >= 3 and Delta >= d + 3")
     n = graph.n
-    active = [v for v in graph.nodes() if graph.input_of(v) == ACTIVE]
-    weight = [v for v in graph.nodes() if graph.input_of(v) == WEIGHT]
     if gammas is None:
         gammas = apoly_gammas(n, delta, d, k, "logstar")
 
-    rounds = [0] * n
-    outputs: List = [None] * n
-
-    if active:
-        levels = compute_levels(graph, k, restrict=active)
-        tr = run_generic_fast_forward(
-            graph, ids, k, gammas, "3.5",
-            id_exponent=id_exponent, levels=levels, restrict=active,
-        )
-        for v in active:
-            rounds[v] = tr.rounds[v]
-            outputs[v] = tr.outputs[v]
-
-    if weight:
-        active_set = set(active)
-        sub, remap = graph.induced_subgraph(weight)
-        inv = {new: old for old, new in remap.items()}
-        dfree_inputs = [
-            A_INPUT
-            if any(w in active_set for w in graph.neighbors(inv[new]))
-            else W_INPUT
-            for new in sub.nodes()
-        ]
-        sub = sub.with_inputs(dfree_inputs)
+    def fast_dfree(sub: Graph):
         sol = run_fast_dfree(sub, d, delta)
+        return sol.outputs, sol.rounds, sol.copy_component_of
 
-        for new in sub.nodes():
-            old = inv[new]
-            lab = sol.outputs[new]
-            if lab == DF_CONNECT:
-                outputs[old] = connect()
-                rounds[old] = sol.rounds[new]
-            elif lab != DF_COPY:
-                outputs[old] = decline()
-                rounds[old] = sol.rounds[new]
-
-        for a_new, comp in sol.copy_component_of.items():
-            if not comp:
-                continue
-            u = inv[a_new]
-            candidates = [w for w in graph.neighbors(u) if w in active_set]
-            assert candidates, "Copy root without an active neighbour"
-            v = min(candidates, key=lambda w: (rounds[w], ids[w]))
-            secondary = outputs[v]
-            start = max(sol.rounds[a_new], rounds[v] + 1)
-            dist = _component_distances(sub, a_new, set(comp))
-            for w_new in comp:
-                old = inv[w_new]
-                outputs[old] = copy_of(secondary)
-                rounds[old] = start + dist[w_new]
-
-    missing = [v for v in graph.nodes() if outputs[v] is None]
+    rounds, outputs, _ = solve_weighted(
+        graph, ids, k, gammas, "3.5", id_exponent, fast_dfree
+    )
+    missing = outputs.count(None)
     if missing:
-        raise RuntimeError(f"weighted35 left {len(missing)} nodes unlabeled")
+        raise RuntimeError(f"weighted35 left {missing} nodes unlabeled")
     return ExecutionTrace(
         rounds=rounds,
         outputs=outputs,
         algorithm="weighted35-fast",
         meta={"gammas": list(gammas)},
     )
-
-
-def _component_distances(graph: Graph, source: int, comp: set) -> Dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if w in comp and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist

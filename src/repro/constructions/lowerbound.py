@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from ..local.graph import Graph
 from ..analysis.mathutil import log_star
 
@@ -32,13 +34,14 @@ class LowerBoundGraph:
 
     ``intended_level[v]`` is the construction level (which the peeling of
     Definition 8 matches up to the boundary leaks described above);
-    ``paths_by_level[i]`` lists each level-``i`` path in path order.
+    ``paths_by_level[i]`` lists each level-``i`` path in path order.  A
+    path's handles are consecutive, so each path is a ``range``.
     """
 
     graph: Graph
     lengths: Tuple[int, ...]
     intended_level: List[int]
-    paths_by_level: Dict[int, List[List[int]]] = field(default_factory=dict)
+    paths_by_level: Dict[int, List[range]] = field(default_factory=dict)
 
     @property
     def k(self) -> int:
@@ -49,38 +52,57 @@ class LowerBoundGraph:
 
 
 def build_lower_bound_graph(lengths: Sequence[int]) -> LowerBoundGraph:
-    """Build the Definition-18 graph for ``lengths = (l_1, ..., l_k)``."""
+    """Build the Definition-18 graph for ``lengths = (l_1, ..., l_k)``.
+
+    Handles are assigned level by level from the top: the level-``k`` path
+    is ``0..l_k - 1``, and the level-``i`` paths follow in the order of the
+    level-``(i+1)`` nodes they hang off.  Edges are emitted as int64
+    endpoint arrays in the recursive construction's order — per path, its
+    ``l_i - 1`` internal edges, then the edge from its parent to its first
+    node — which fixes the CSR neighbour order.
+    """
     if not lengths or any(l < 1 for l in lengths):
         raise ValueError("need k >= 1 positive lengths")
     k = len(lengths)
-    edges: List[Tuple[int, int]] = []
-    intended: List[int] = []
-    paths_by_level: Dict[int, List[List[int]]] = {i: [] for i in range(1, k + 1)}
+    eus: List[np.ndarray] = []
+    evs: List[np.ndarray] = []
+    level_sizes: List[int] = []
+    paths_by_level: Dict[int, List[range]] = {}
+    start, parents = 0, None
+    for i in range(k, 0, -1):
+        length = lengths[i - 1]
+        n_paths = 1 if parents is None else parents.size
+        handles = np.arange(
+            start, start + n_paths * length, dtype=np.int64
+        ).reshape(n_paths, length)
+        eu = np.empty((n_paths, length), dtype=np.int64)
+        ev = np.empty((n_paths, length), dtype=np.int64)
+        eu[:, :-1] = handles[:, :-1]
+        ev[:, :-1] = handles[:, 1:]
+        if parents is None:
+            eu, ev = eu[:, :-1], ev[:, :-1]
+        else:
+            eu[:, -1] = parents
+            ev[:, -1] = handles[:, 0]
+        eus.append(eu.ravel())
+        evs.append(ev.ravel())
+        level_sizes.append(handles.size)
+        firsts = range(start, start + handles.size, length)
+        paths_by_level[i] = [range(f, f + length) for f in firsts]
+        parents = handles.ravel()
+        start += handles.size
 
-    def new_path(length: int, level: int) -> List[int]:
-        start = len(intended)
-        handles = list(range(start, start + length))
-        intended.extend([level] * length)
-        edges.extend((handles[j], handles[j + 1]) for j in range(length - 1))
-        paths_by_level[level].append(handles)
-        return handles
-
-    frontier = [new_path(lengths[k - 1], k)]
-    for i in range(k - 1, 0, -1):
-        next_frontier = []
-        for path in frontier:
-            for v in path:
-                child = new_path(lengths[i - 1], i)
-                edges.append((v, child[0]))
-                next_frontier.append(child)
-        frontier = next_frontier
-
-    graph = Graph(len(intended), edges)
+    intended = np.repeat(
+        np.arange(k, 0, -1, dtype=np.int64), level_sizes
+    ).tolist()
+    graph = Graph.from_arrays(
+        start, np.concatenate(eus), np.concatenate(evs), validate=False
+    )
     return LowerBoundGraph(
         graph=graph,
         lengths=tuple(lengths),
         intended_level=intended,
-        paths_by_level=paths_by_level,
+        paths_by_level={i: paths_by_level[i] for i in range(1, k + 1)},
     )
 
 

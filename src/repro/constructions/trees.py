@@ -1,6 +1,6 @@
 """Tree builders: weight trees, random trees, caterpillars.
 
-:func:`attach_weight_tree` realizes the paper's "balanced Delta-regular tree
+:func:`weight_forest_edges` realizes the paper's "balanced Delta-regular tree
 of w weight nodes attached to an active node" (Lemma 23): the root hangs off
 the active node, every weight node has at most ``delta - 1`` children, and
 levels fill breadth-first so the tree is as balanced as ``w`` allows.
@@ -9,13 +9,15 @@ levels fill breadth-first so the tree is as balanced as ``w`` allows.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..local.graph import Graph
 from ..parallel import stable_seed
 
 __all__ = [
+    "weight_forest_edges",
     "weight_tree_edges",
     "random_tree",
     "caterpillar",
@@ -23,9 +25,38 @@ __all__ = [
 ]
 
 
+def weight_forest_edges(
+    roots, sizes, delta: int, first_handle: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Edges of one balanced ``delta``-regular weight tree per root.
+
+    Tree ``t`` has ``sizes[t] >= 1`` nodes and hangs off ``roots[t]``;
+    the trees take consecutive handle blocks from ``first_handle`` on.
+    Inside a tree, handles follow breadth-first order, so the node at
+    offset ``j >= 1`` is a child of the node at offset
+    ``(j - 1) // (delta - 1)`` and every node gets at most ``delta - 1``
+    children.  Edges are ``(parent, child)`` int64 endpoint arrays in
+    child-handle order (each tree's root edge first).  Returns
+    ``(edge_u, edge_v, next_free_handle)``.
+    """
+    if delta < 2:
+        raise ValueError("delta must be >= 2")
+    roots = np.asarray(roots, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    total = int(sizes.sum())
+    starts = first_handle + np.concatenate(
+        ([0], np.cumsum(sizes)[:-1])
+    ).astype(np.int64)
+    child = np.arange(first_handle, first_handle + total, dtype=np.int64)
+    tree_start = np.repeat(starts, sizes)
+    parent = tree_start + (child - tree_start - 1) // (delta - 1)
+    parent[starts - first_handle] = roots
+    return parent, child, first_handle + total
+
+
 def weight_tree_edges(
     w: int, delta: int, root_handle: int, first_handle: int
-) -> Tuple[List[Tuple[int, int]], int]:
+) -> Tuple[np.ndarray, int]:
     """Edges of a balanced ``delta``-regular tree with ``w`` nodes whose
     root attaches to ``root_handle``.
 
@@ -33,26 +64,15 @@ def weight_tree_edges(
     of the weight tree is ``first_handle`` (edge to ``root_handle``
     included).  Every node gets at most ``delta - 1`` children, so the
     attached node's degree budget is respected.  Returns ``(edges,
-    next_free_handle)``.
+    next_free_handle)`` with ``edges`` an int64 ``(w, 2)`` array of
+    ``(parent, child)`` rows (see :func:`weight_forest_edges`).
     """
     if w <= 0:
-        return [], first_handle
-    if delta < 2:
-        raise ValueError("delta must be >= 2")
-    edges = [(root_handle, first_handle)]
-    frontier = deque([first_handle])
-    next_handle = first_handle + 1
-    remaining = w - 1
-    while remaining > 0:
-        parent = frontier.popleft()
-        for _ in range(delta - 1):
-            if remaining == 0:
-                break
-            edges.append((parent, next_handle))
-            frontier.append(next_handle)
-            next_handle += 1
-            remaining -= 1
-    return edges, next_handle
+        return np.empty((0, 2), dtype=np.int64), first_handle
+    eu, ev, next_handle = weight_forest_edges(
+        [root_handle], [w], delta, first_handle
+    )
+    return np.stack((eu, ev), axis=1), next_handle
 
 
 def random_tree(n: int, max_degree: int = 4, rng: Optional[random.Random] = None) -> Graph:

@@ -10,14 +10,16 @@ amount of weight resting on every level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from ..lcl.weighted import ACTIVE, WEIGHT
+from ..local import vec
 from ..local.graph import Graph
 from .lowerbound import LowerBoundGraph, build_lower_bound_graph
-from .trees import weight_tree_edges
+from .trees import weight_forest_edges
 
 __all__ = ["WeightedInstance", "build_weighted_construction"]
 
@@ -28,14 +30,14 @@ class WeightedInstance:
 
     ``core`` is the underlying Definition-18 construction (handles of the
     active nodes coincide with the core graph's handles);
-    ``tree_of[a]`` lists the weight-node handles attached to active node
-    ``a`` (empty for level-1 nodes).
+    ``tree_of[a]`` is the ``range`` of weight-node handles (consecutive)
+    attached to active node ``a``; nodes without a tree have no entry.
     """
 
     graph: Graph
     core: LowerBoundGraph
     delta: int
-    tree_of: Dict[int, List[int]]
+    tree_of: Dict[int, range]
 
     @property
     def n(self) -> int:
@@ -63,26 +65,39 @@ def build_weighted_construction(
         raise ValueError("delta must be >= 3")
     core = build_lower_bound_graph(lengths)
     k = core.k
-    edges: List[Tuple[int, int]] = list(core.graph.edges())
-    next_handle = core.graph.n
-    tree_of: Dict[int, List[int]] = {}
+    n_core = core.graph.n
+    # the core's edges in ``core.graph.edges()`` order: by smaller
+    # endpoint, then CSR neighbour order
+    indptr, indices = vec.csr_arrays(core.graph)
+    src = np.repeat(np.arange(n_core, dtype=np.int64), np.diff(indptr))
+    upper = src < indices
+    eus: List[np.ndarray] = [src[upper]]
+    evs: List[np.ndarray] = [indices[upper]]
+    levels = np.asarray(core.intended_level, dtype=np.int64)
+    next_handle = n_core
+    tree_of: Dict[int, range] = {}
 
     for i in range(2, k + 1):
-        targets = core.nodes_of_intended_level(i)
-        if not targets or weight_per_level <= 0:
+        targets = np.flatnonzero(levels == i)
+        if not targets.size or weight_per_level <= 0:
             continue
-        per_node = weight_per_level // len(targets)
-        extra = weight_per_level - per_node * len(targets)
-        for idx, a in enumerate(targets):
-            w = per_node + (1 if idx < extra else 0)
-            if w == 0:
-                continue
-            first = next_handle
-            tree_edges, next_handle = weight_tree_edges(w, delta, a, first)
-            edges.extend(tree_edges)
-            tree_of[a] = list(range(first, next_handle))
+        per_node, extra = divmod(weight_per_level, targets.size)
+        sizes = np.full(targets.size, per_node, dtype=np.int64)
+        sizes[:extra] += 1
+        roots, sizes = targets[sizes > 0], sizes[sizes > 0]
+        first = next_handle
+        eu, ev, next_handle = weight_forest_edges(roots, sizes, delta, first)
+        eus.append(eu)
+        evs.append(ev)
+        ends = (first + np.cumsum(sizes)).tolist()
+        tree_of.update(
+            zip(roots.tolist(), map(range, [first] + ends[:-1], ends))
+        )
 
     n_total = next_handle
-    inputs = [ACTIVE] * core.graph.n + [WEIGHT] * (n_total - core.graph.n)
-    graph = Graph(n_total, edges, inputs)
+    inputs = [ACTIVE] * n_core + [WEIGHT] * (n_total - n_core)
+    graph = Graph.from_arrays(
+        n_total, np.concatenate(eus), np.concatenate(evs), inputs,
+        validate=False,
+    )
     return WeightedInstance(graph=graph, core=core, delta=delta, tree_of=tree_of)

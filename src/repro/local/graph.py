@@ -452,18 +452,29 @@ class Graph:
         return ecc
 
     def induced_subgraph(self, nodes: Iterable[int]) -> Tuple["Graph", Dict[int, int]]:
-        """Induced subgraph; returns (subgraph, old->new node map)."""
-        nodes = sorted(set(nodes))
-        remap = {old: new for new, old in enumerate(nodes)}
-        indptr, indices = self._indptr, self._indices
-        edges = [
-            (remap[u], remap[v])
-            for u in nodes
-            for v in indices[indptr[u]:indptr[u + 1]]
-            if u < v and v in remap
-        ]
-        inputs = [self._inputs[old] for old in nodes]
-        return Graph(len(nodes), edges, inputs), remap
+        """Induced subgraph; returns (subgraph, old->new node map).
+
+        New handles follow ascending old handles; edges are kept in the
+        order of their smaller endpoint, then CSR neighbour order (one
+        :func:`~repro.local.vec.expand_segments` pass over the kept
+        nodes)."""
+        from . import vec
+
+        chosen = np.zeros(self._n, dtype=bool)
+        chosen[np.fromiter(nodes, dtype=np.int64)] = True
+        keep = np.flatnonzero(chosen)
+        position = np.full(self._n, -1, dtype=np.int64)
+        position[keep] = np.arange(keep.size, dtype=np.int64)
+        indptr, indices = vec.csr_arrays(self)
+        src, nbr = vec.expand_segments(indptr, indices, keep)
+        inner = (src < nbr) & (position[nbr] >= 0)
+        kept = keep.tolist()
+        inputs = self._inputs
+        sub = Graph.from_arrays(
+            keep.size, position[src[inner]], position[nbr[inner]],
+            [inputs[old] for old in kept], validate=False,
+        )
+        return sub, dict(zip(kept, range(keep.size)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"

@@ -89,16 +89,16 @@ class TestWeightTree:
         edges, nxt = weight_tree_edges(7, 4, root_handle=99, first_handle=100)
         assert len(edges) == 7
         assert nxt == 107
-        assert edges[0] == (99, 100)
+        assert tuple(edges[0]) == (99, 100)
 
     def test_zero_weight(self):
         edges, nxt = weight_tree_edges(0, 4, 0, 1)
-        assert edges == [] and nxt == 1
+        assert edges.shape == (0, 2) and nxt == 1
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=3, max_value=6))
     def test_degree_budget(self, w, delta):
         edges, nxt = weight_tree_edges(w, delta, 0, 1)
-        g = Graph(nxt, edges)
+        g = Graph.from_arrays(nxt, edges[:, 0], edges[:, 1])
         # tree nodes have at most delta-1 children + 1 parent = delta
         for v in range(1, nxt):
             assert g.degree(v) <= delta

@@ -8,7 +8,8 @@ implementation in ``src/``; its node-at-a-time twin lives in
 same input and assert the results are *identical* — outputs, rounds,
 layers, iteration counts — over a corpus of families, sizes (the empty
 graph included), restrictions and pins.  The end-to-end tests swap every
-pass of a solver for its oracle and compare whole traces.
+pass of a solver for its oracle, or run the whole-function oracle, and
+compare whole traces.
 """
 
 import random
@@ -16,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.algorithms import fast_decomposition, generic_phases
+from repro.algorithms import generic_phases
 from repro.algorithms.fast_decomposition import (
     _oriented_decomposition,
     run_fast_dfree,
@@ -40,6 +41,7 @@ from solver_oracles import (
     compute_levels_py,
     oriented_decomposition_py,
     rake_compress_py,
+    run_fast_dfree_py,
 )
 
 TREEISH = ("path", "random_tree", "bounded_tree_d3", "caterpillar",
@@ -60,17 +62,23 @@ def instances(families, sizes, seed):
 
 def with_oracles(monkeypatch, fn):
     """Run ``fn()`` on the numpy passes, then again with the generic-phase
-    and fast-decomposition passes swapped for their oracles; return both."""
+    passes swapped for their oracles; return both.  Fails unless every
+    swapped-in oracle actually ran, so a renamed or bypassed pass cannot
+    turn the comparison into a self-comparison."""
     fast = fn()
-    monkeypatch.setattr(generic_phases, "compute_levels", compute_levels_py)
-    monkeypatch.setattr(
-        generic_phases, "_alive_level_paths", alive_level_paths_py
-    )
-    monkeypatch.setattr(
-        fast_decomposition, "_oriented_decomposition",
-        oriented_decomposition_py,
-    )
-    return fast, fn()
+    calls = {}
+
+    def counted(name, oracle):
+        def run(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return oracle(*args, **kwargs)
+        monkeypatch.setattr(generic_phases, name, run)
+
+    counted("compute_levels", compute_levels_py)
+    counted("_alive_level_paths", alive_level_paths_py)
+    slow = fn()
+    assert set(calls) == {"compute_levels", "_alive_level_paths"}, calls
+    return fast, slow
 
 
 class TestMemberPaths:
@@ -195,11 +203,21 @@ class TestFastDecompositionParity:
                 continue
             for frac in (1.0, 0.7, 0.3):
                 members = {v for v in range(g.n) if rng.random() < frac}
-                a = _oriented_decomposition(g, set(members))
-                b = oriented_decomposition_py(g, set(members))
-                assert a == b, (family, n, frac)
+                mask = np.zeros(g.n, dtype=bool)
+                mask[sorted(members)] = True
+                parent, iter_of, iters = _oriented_decomposition(g, mask)
+                b_parent, b_iter, b_iters = oriented_decomposition_py(
+                    g, set(members))
+                assert iters == b_iters, (family, n, frac)
+                for v in range(g.n):
+                    if v in members:
+                        p = None if parent[v] < 0 else int(parent[v])
+                        assert p == b_parent[v], (family, n, frac, v)
+                        assert iter_of[v] == b_iter[v], (family, n, frac, v)
+                    else:
+                        assert parent[v] == -1 and iter_of[v] == 0
 
-    def test_run_fast_dfree_end_to_end(self, monkeypatch):
+    def test_run_fast_dfree_end_to_end(self):
         for seed in range(6):
             rng = random.Random(seed)
             g = get_family("bounded_tree_d3").instance(
@@ -209,8 +227,7 @@ class TestFastDecompositionParity:
                 for _ in range(g.n)
             ]
             gi = g.with_inputs(inputs)
-            a, b = with_oracles(monkeypatch, lambda: run_fast_dfree(gi, 3))
-            monkeypatch.undo()
+            a, b = run_fast_dfree(gi, 3), run_fast_dfree_py(gi, 3)
             assert a.outputs == b.outputs
             assert a.rounds == b.rounds
             assert a.copy_component_of == b.copy_component_of
